@@ -55,6 +55,25 @@ class FusionRing:
         t.setflags(write=False)
         return t
 
+    @cached_property
+    def invertible_permutations(self) -> dict[int, tuple[int, ...]]:
+        """The permutation X -> g (x) X of each invertible simple g, keyed by g
+        in index order (cached).
+
+        g is invertible when the products g (x) X hold n simples in all and
+        g (x) g* contains the unit once.
+        """
+        n = self.size
+        t = self.table
+        out = {}
+        for g in range(n):
+            if t[g].sum() == n and self.N(g, self.dual[g], self.unit_index) == 1:
+                rows, cols = np.nonzero(t[g])
+                if not np.array_equal(rows, np.arange(n)):
+                    raise ValueError(f"fusion by {self.simples[g]} is not a permutation")
+                out[g] = tuple(cols.tolist())
+        return out
+
     def index(self, label: str) -> int:
         try:
             return self.simples.index(label)
@@ -104,32 +123,21 @@ def verify_axioms(ring: FusionRing) -> bool:
 
 def invertibles(ring: FusionRing) -> list[int]:
     """Indices of all invertible simples (fusion by them is a permutation)."""
-    n = ring.size
-    t = ring.table
-    out = []
-    for a in range(n):
-        if t[a].sum() == n and ring.N(a, ring.dual[a], ring.unit_index) == 1:
-            out.append(a)
-    return out
+    return list(ring.invertible_permutations)
 
 
-def _require_invertible(ring: FusionRing, g: int) -> None:
-    t = ring.table
-    if not (0 <= g < ring.size and t[g].sum() == ring.size
-            and ring.N(g, ring.dual[g], ring.unit_index) == 1):
+def _require_invertible(ring: FusionRing, g: int) -> tuple[int, ...]:
+    """The fusion permutation of g, or NotInvertibleError when g is not invertible."""
+    perm = ring.invertible_permutations.get(g)
+    if perm is None:
         raise NotInvertibleError(f"object {ring.simples[g] if 0 <= g < ring.size else g} "
                                  f"is not invertible")
+    return perm
 
 
 def fuse_permutation(ring: FusionRing, g: int) -> tuple[int, ...]:
     """The permutation X -> g (x) X induced by an invertible object."""
-    _require_invertible(ring, g)
-    t = ring.table
-    perm = []
-    for b in range(ring.size):
-        (c,) = np.flatnonzero(t[g, b])
-        perm.append(int(c))
-    return tuple(perm)
+    return _require_invertible(ring, g)
 
 
 def invertible_order(ring: FusionRing, g: int) -> int:

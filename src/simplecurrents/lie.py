@@ -6,6 +6,9 @@ basis), roots are tuples of coordinates in the simple-root basis, and all
 inner products go through the exact rational Gram matrix of the fundamental
 weights, normalised so long roots have squared length 2.
 
+Weight diagrams come from the Freudenthal recursion run over the dominant
+weights of the module only, in integer arithmetic (Moody-Patera), after
+which each dominant weight's Weyl orbit is expanded into the full diagram.
 The expensive pieces (positive roots, weight diagrams) are memoized per
 (algebra, highest weight).  All functions are pure; the caches are plain
 ``functools.lru_cache`` dictionaries, safe under concurrent reads and
@@ -68,6 +71,11 @@ class LieAlgebraSpec:
     dual_coxeter: int
     comark: tuple[int, ...]
     theta_labels: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        # The Cartan type fixes every other field; hashing the Fractions of
+        # the Gram matrix would dominate each cache lookup keyed by the spec.
+        return hash((self.family, self.rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -286,6 +294,13 @@ def in_alcove(spec: LieAlgebraSpec, k: int, lam) -> bool:
     return all(x >= 0 for x in lam) and level(spec, lam) <= k
 
 
+def _alcove_weight(spec: LieAlgebraSpec, k: int, lam) -> Weight:
+    lam = _check_weight(spec, lam)
+    if not in_alcove(spec, k, lam):
+        raise OutOfAlcoveError(f"weight {lam} is outside the level-{k} alcove of {spec}")
+    return lam
+
+
 def alcove_weights(spec: LieAlgebraSpec, k: int) -> list[Weight]:
     """All dominant weights of level <= k, sorted lexicographically by labels."""
     if k < 0:
@@ -306,15 +321,7 @@ def alcove_weights(spec: LieAlgebraSpec, k: int) -> list[Weight]:
 
 
 # ---------------------------------------------------------------------------
-# weight diagrams (Freudenthal recursion)
-
-
-def _minus_simple_root(spec: LieAlgebraSpec, mu: Weight, i: int) -> Weight:
-    return tuple(mu[k] - spec.cartan[k][i] for k in range(spec.rank))
-
-
-def _plus_root(mu: Weight, root_labels: tuple[int, ...], j: int = 1) -> Weight:
-    return tuple(m + j * r for m, r in zip(mu, root_labels))
+# weight diagrams (Freudenthal recursion on dominant weights, in integers)
 
 
 @lru_cache(maxsize=None)
@@ -324,49 +331,119 @@ def _root_labels(spec: LieAlgebraSpec, coords: tuple[int, ...]) -> tuple[int, ..
 
 
 @lru_cache(maxsize=None)
+def _integer_forms(spec: LieAlgebraSpec):
+    """The Gram matrix and the positive roots with every inner product scaled
+    by the lcm s of the denominators, so the Freudenthal recursion runs in ints.
+
+    Returns (gram, roots): gram[i][j] = s (Lambda_i, Lambda_j), and for each
+    positive root (labels, height, pairing, norm) with
+    sum(mu_i * pairing_i) = s (mu, alpha) and norm = s (alpha, alpha).
+    """
+    roots = _positive_roots(spec)
+    scale = math.lcm(*(x.denominator for row in spec.gram for x in row),
+                     *(x.denominator for r in roots for x in r.dco))
+    gram = tuple(tuple(int(x * scale) for x in row) for row in spec.gram)
+    out = []
+    for r in roots:
+        labels = _root_labels(spec, r.coords)
+        pairing = tuple(int(x * scale) for x in r.dco)
+        out.append((labels, sum(r.coords), pairing,
+                    sum(p * x for p, x in zip(pairing, labels))))
+    return gram, tuple(out)
+
+
+def _dominant_representative(spec: LieAlgebraSpec, xi: Weight) -> Weight:
+    """The dominant weight in the Weyl orbit of xi.
+
+    Each reflection in a negative label raises xi within its finite orbit,
+    so the loop ends.
+    """
+    while True:
+        neg = next((i for i, x in enumerate(xi) if x < 0), None)
+        if neg is None:
+            return xi
+        xi = _reflect_simple(spec, xi, neg)
+
+
+@lru_cache(maxsize=None)
 def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> dict[Weight, int]:
     """Full weight diagram of the irreducible module with highest weight lam.
 
-    Uses the Freudenthal recursion, working downward from lam one simple-root
-    step at a time.  A candidate at depth d (height of lam - mu) sums over
-    every translate mu + j*alpha with j*height(alpha) <= d, skipping gaps, so
-    the recursion is exact for non-weight candidates as well.  The returned
-    dict maps each weight of the module to its multiplicity; the total count
-    equals the Weyl dimension.
+    Multiplicities are constant on Weyl orbits, so the Freudenthal recursion
+    runs over the dominant weights only (R. V. Moody and J. Patera, Bull. AMS
+    7, 1982).  These are the dominant weights reached from lam by subtracting
+    positive roots one at a time while staying dominant.  Each term
+    m(mu + j*alpha) is read off the dominant representative of mu + j*alpha,
+    the j-loop stops at the end of the unbroken alpha-string, and every inner
+    product is scaled to an integer.  Each dominant weight's Weyl orbit is
+    then expanded.  The returned dict maps each weight of the module to its
+    multiplicity, ordered by depth (height of lam - mu) and then by labels;
+    the total count equals the Weyl dimension.
     """
     lam = _check_weight(spec, lam)
     if any(x < 0 for x in lam):
         raise ValueError(f"highest weight must be dominant, got {lam}")
-    roots = _positive_roots(spec)
-    root_data = [(r, _root_labels(spec, r.coords), sum(r.coords)) for r in roots]
-    lam_rho = tuple(x + 1 for x in lam)
-    lam_rho_norm = inner_product(spec, lam_rho, lam_rho)
+    gram, roots = _integer_forms(spec)
 
-    mults: dict[Weight, int] = {lam: 1}
-    frontier = [lam]
-    depth = 0
-    while frontier:
-        depth += 1
-        candidates = {_minus_simple_root(spec, mu, i)
-                      for mu in frontier for i in range(spec.rank)}
-        frontier = []
-        for mu in sorted(candidates - mults.keys()):
-            num = Fraction(0)
-            for root, labels, height in root_data:
-                base = _pair_weight_root(mu, root)
-                for j in range(1, depth // height + 1):
-                    m_up = mults.get(_plus_root(mu, labels, j))
-                    if m_up:
-                        num += (base + j * root.norm) * m_up
-            if num == 0:
-                continue
-            mu_rho = tuple(x + 1 for x in mu)
-            den = lam_rho_norm - inner_product(spec, mu_rho, mu_rho)
-            m = 2 * num / den
-            assert m.denominator == 1 and m > 0, "Freudenthal recursion must yield positive integers"
-            mults[mu] = int(m)
-            frontier.append(mu)
-    return mults
+    depth = {lam: 0}  # dominant weights of the module -> height of lam - mu
+    stack = [lam]
+    while stack:
+        mu = stack.pop()
+        for labels, height, _, _ in roots:
+            nu = tuple(m - r for m, r in zip(mu, labels))
+            if nu not in depth and all(x >= 0 for x in nu):
+                depth[nu] = depth[mu] + height
+                stack.append(nu)
+
+    def norm_rho(mu):  # scaled (mu + rho, mu + rho)
+        x = [m + 1 for m in mu]
+        return sum(a * sum(g * b for g, b in zip(row, x)) for a, row in zip(x, gram))
+
+    top = norm_rho(lam)
+    dominant: dict[Weight, int] = {lam: 1}
+    for mu in sorted(depth, key=depth.__getitem__)[1:]:
+        num = 0
+        for labels, _, pairing, norm in roots:
+            base = sum(m * p for m, p in zip(mu, pairing))
+            nu, j = mu, 1
+            while True:
+                nu = tuple(a + b for a, b in zip(nu, labels))
+                m_up = dominant.get(_dominant_representative(spec, nu))
+                if m_up is None:
+                    break
+                num += (base + j * norm) * m_up
+                j += 1
+        den = top - norm_rho(mu)
+        m, rem = divmod(2 * num, den)
+        if rem or m <= 0:
+            raise ArithmeticError(
+                f"Freudenthal recursion gave multiplicity {2 * num}/{den} at {mu} "
+                f"in the module of highest weight {lam} of {spec}")
+        dominant[mu] = m
+
+    diagram = []  # (depth, weight, multiplicity) over each dominant weight's orbit
+    for mu, m in dominant.items():
+        orbit = {mu: depth[mu]}
+        layer = [mu]
+        while layer:
+            nxt = []
+            for w in layer:
+                for i, x in enumerate(w):
+                    if x > 0:
+                        v = _reflect_simple(spec, w, i)
+                        if v not in orbit:
+                            orbit[v] = orbit[w] + x
+                            nxt.append(v)
+            layer = nxt
+        diagram.extend((d, w, m) for w, d in orbit.items())
+    diagram.sort()
+    return {w: m for _, w, m in diagram}
+
+
+@lru_cache(maxsize=None)
+def _diagram_dimension(spec: LieAlgebraSpec, lam: Weight) -> int:
+    """Dimension of the module, read off its cached weight diagram."""
+    return sum(weight_multiplicities(spec, lam).values())
 
 
 def weyl_dimension(spec: LieAlgebraSpec, lam) -> int:
@@ -387,28 +464,6 @@ def weyl_dimension(spec: LieAlgebraSpec, lam) -> int:
 def _reflect_simple(spec: LieAlgebraSpec, xi: Weight, i: int) -> Weight:
     c = xi[i]
     return tuple(xi[k] - c * spec.cartan[k][i] for k in range(spec.rank))
-
-
-def _to_dominant_strict(spec: LieAlgebraSpec, xi: Weight) -> tuple[Weight | None, int]:
-    """Reflect a rho-shifted weight into the open dominant chamber.
-
-    Returns (weight, sign) where sign tracks the parity of reflections used,
-    or (None, 0) when xi lies on a reflection wall and cancels.
-    """
-    sign = 1
-    for _ in range(_FOLD_CAP):
-        neg = None
-        for i, x in enumerate(xi):
-            if x == 0:
-                return None, 0
-            if x < 0:
-                neg = i
-                break
-        if neg is None:
-            return xi, sign
-        xi = _reflect_simple(spec, xi, neg)
-        sign = -sign
-    raise RuntimeError("reflection loop failed to terminate")
 
 
 def _fold_alcove(spec: LieAlgebraSpec, kappa: int, xi: Weight) -> tuple[Weight | None, int]:
@@ -444,26 +499,16 @@ def _fold_alcove(spec: LieAlgebraSpec, kappa: int, xi: Weight) -> tuple[Weight |
 def tensor_decompose(spec: LieAlgebraSpec, lam, mu) -> Counter:
     """Decomposition of the classical tensor product V_lam (x) V_mu.
 
-    Racah-Speiser: shift every weight of the smaller factor by the other
-    highest weight plus rho, reflect into the open dominant chamber with
-    sign, and cancel.  Returns a Counter of dominant highest weights.
+    Racah-Speiser, as the level-k fusion product at k = level(lam) + level(mu):
+    a shifted weight folded into the open dominant chamber has level below
+    k + h_vee there (the level only falls down the dominance order), so no
+    affine wall is met.  Returns a Counter of dominant highest weights.
     """
     lam = _check_weight(spec, lam)
     mu = _check_weight(spec, mu)
     if any(x < 0 for x in lam) or any(x < 0 for x in mu):
         raise ValueError("tensor factors must be dominant")
-    if weyl_dimension(spec, mu) > weyl_dimension(spec, lam):
-        lam, mu = mu, lam
-    shift = tuple(x + 1 for x in lam)
-    out: Counter = Counter()
-    for nu, m in weight_multiplicities(spec, mu).items():
-        xi = tuple(s + n for s, n in zip(shift, nu))
-        folded, sign = _to_dominant_strict(spec, xi)
-        if sign:
-            out[tuple(x - 1 for x in folded)] += sign * m
-    bad = {w: v for w, v in out.items() if v < 0}
-    assert not bad, f"negative classical multiplicity at {bad}"
-    return +out
+    return fusion_coefficients(spec, level(spec, lam) + level(spec, mu), lam, mu)
 
 
 def fusion_coefficients(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter:
@@ -473,12 +518,12 @@ def fusion_coefficients(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter:
     by the affine Weyl group at level k; terms fixed by a shifted wall
     annihilate.  Returns a Counter supported on the level-k alcove.
 
-    Commutativity is a theorem, so the cheaper weight diagram is used; the
+    Commutativity is a theorem, so the smaller weight diagram is folded; the
     directional computation is available as :func:`fusion_with_second_diagram`.
     """
-    lam = _check_weight(spec, lam)
-    mu = _check_weight(spec, mu)
-    if weyl_dimension(spec, mu) > weyl_dimension(spec, lam):
+    lam = _alcove_weight(spec, k, lam)
+    mu = _alcove_weight(spec, k, mu)
+    if _diagram_dimension(spec, mu) > _diagram_dimension(spec, lam):
         lam, mu = mu, lam
     return fusion_with_second_diagram(spec, k, lam, mu)
 
@@ -486,11 +531,8 @@ def fusion_coefficients(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter:
 def fusion_with_second_diagram(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter:
     """Level-k fusion computed by folding the weight diagram of mu shifted
     by lam + rho; no argument reordering."""
-    lam = _check_weight(spec, lam)
-    mu = _check_weight(spec, mu)
-    for w in (lam, mu):
-        if not in_alcove(spec, k, w):
-            raise OutOfAlcoveError(f"weight {w} is outside the level-{k} alcove of {spec}")
+    lam = _alcove_weight(spec, k, lam)
+    mu = _alcove_weight(spec, k, mu)
     kappa = k + spec.dual_coxeter
     shift = tuple(x + 1 for x in lam)
     out: Counter = Counter()
@@ -510,9 +552,7 @@ def fusion_with_second_diagram(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter
 
 def conformal_weight(spec: LieAlgebraSpec, k: int, lam) -> Fraction:
     """Exact h_lam = (lam, lam + 2 rho) / (2 (k + h_vee)) for an alcove weight."""
-    lam = _check_weight(spec, lam)
-    if not in_alcove(spec, k, lam):
-        raise OutOfAlcoveError(f"weight {lam} is outside the level-{k} alcove of {spec}")
+    lam = _alcove_weight(spec, k, lam)
     quad = inner_product(spec, lam, lam) + sum(
         x * r for x, r in zip(lam, spec.rho_pairing))
     return quad / (2 * (k + spec.dual_coxeter))
@@ -520,9 +560,7 @@ def conformal_weight(spec: LieAlgebraSpec, k: int, lam) -> Fraction:
 
 def quantum_dimension(spec: LieAlgebraSpec, k: int, lam) -> float:
     """Quantum dimension as a sine product over positive roots (float)."""
-    lam = _check_weight(spec, lam)
-    if not in_alcove(spec, k, lam):
-        raise OutOfAlcoveError(f"weight {lam} is outside the level-{k} alcove of {spec}")
+    lam = _alcove_weight(spec, k, lam)
     kappa = k + spec.dual_coxeter
     lam_rho = tuple(x + 1 for x in lam)
     rho = (1,) * spec.rank

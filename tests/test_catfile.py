@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,30 @@ def ising_payload():
         "twists": [[0, 1], [1, 2], [1, 16]],
         "qdims": [1.0, 1.0, 1.4142135623730951],
     }
+
+
+# sha256 of the canonical category file of each build, recorded when weight
+# diagrams came from the Freudenthal recursion over every weight in Fractions
+GOLDEN_SHA256 = {
+    ("A", 3, 2): "2d6de9d04ff32a56dde67b44db7c4f85aa9adcad031a011c6579d290b0771ec1",
+    ("A", 5, 2): "069c2cdcef633604b99c3a7de16cd6aec24cf314d87a9e843fdb3d4080a1f281",
+    ("D", 4, 2): "74bbcabce12fc1f54722b4fbf2ef0f10901edb5f7ad291cf4853fcf48de7629e",
+    ("A", 7, 1): "49405317534e995672c54f8c6ef67feb724a0586f8fd41267d6c8036a4a1328d",
+    ("B", 4, 2): "11ab5ee6084f84120116812b013c4cd06f6bf7d58f3980d0b0eefd5c292a9d99",
+    ("C", 3, 3): "c393245b0c093f52ff36ee76995ad7e5d05a64bdd37f9b9d9bfcbb4ca6a1ce96",
+    ("A", 3, 4): "4f22add91656741551b7fc442d9c1bf865371e152e8e0c20537defa1eb090d72",
+    ("E", 6, 2): "87d3ddb3c1bfa24db8a754b065b379971a4e1aae732e6e3616b8fe929951d307",
+    ("E", 8, 2): "e8b1b3a4e1f920f7fc9c36658e9f2c4df02bf48e03ea1dad93c30034bf740b5f",
+}
+
+
+@pytest.mark.parametrize("family,rank,level", sorted(GOLDEN_SHA256))
+def test_built_file_matches_golden_hash(family, rank, level):
+    data = modular.build_wzw_data(lie.lie_algebra(family, rank), level)
+    text = catfile.dumps_canonical(catfile.category_to_payload(
+        data, {"family": family, "rank": rank, "level": level}))
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == GOLDEN_SHA256[family, rank, level])
 
 
 class TestRoundTrip:

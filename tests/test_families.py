@@ -65,3 +65,29 @@ def test_c3_and_g2_build_and_validate():
         data = modular.build_wzw_data(lie.lie_algebra(fam, rank), 1)
         assert fusion.verify_axioms(data.ring)
         assert data.twist[data.ring.unit_index] == ZERO_ANGLE
+
+
+def test_e8_level2_exceptional_current():
+    # simples 1, the adjoint 248 (L7) and the 3875 (L1), which is the current
+    data = modular.build_wzw_data(lie.lie_algebra("E", 8), 2)
+    assert data.ring.simples == ("0", "L7", "L1")
+    g = data.ring.index("L1")
+    assert lie.weyl_dimension(lie.lie_algebra("E", 8), data.weights[g]) == 3875
+    assert fusion.invertibles(data.ring) == [data.ring.unit_index, g]
+    p = currents.profile(data, g)
+    assert (p.M, p.q, p.A) == (2, angle(1, 2), 2)
+    assert currents.exists_autoequivalence(p)
+    nontrivial = [ae for ae in currents.all_autoequivalences(data)
+                  if ae.g != data.ring.unit_index]
+    assert len(nontrivial) == 1 and nontrivial[0].zeta == angle(1, 2)
+
+
+def test_a11_level1_is_pointed_z12():
+    data = modular.build_wzw_data(lie.lie_algebra("A", 11), 1)
+    assert data.size == 12
+    index = {j: data.ring.index(f"L{j}") for j in range(1, 12)}
+    index[0] = data.ring.unit_index
+    for i in range(12):
+        assert data.twist[index[i]] == angle(i * (12 - i), 24)
+        for j in range(12):
+            assert data.ring.product(index[i], index[j]) == {index[(i + j) % 12]: 1}

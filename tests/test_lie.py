@@ -35,6 +35,45 @@ def char_multiply_decompose(spec, lam, mu):
     return out
 
 
+def freudenthal_reference(spec, lam):
+    """Reference weight diagram: the Freudenthal recursion over every weight,
+    in Fractions, working downward from lam one simple-root step at a time.
+
+    A candidate at depth d (height of lam - mu) sums over every translate
+    mu + j*alpha with j*height(alpha) <= d, skipping gaps, so the recursion is
+    exact for non-weight candidates as well.
+    """
+    rank = spec.rank
+    root_data = [(r, lie._root_labels(spec, r.coords), sum(r.coords))
+                 for r in lie._positive_roots(spec)]
+    lam_rho = tuple(x + 1 for x in lam)
+    lam_rho_norm = lie.inner_product(spec, lam_rho, lam_rho)
+    mults = {lam: 1}
+    frontier = [lam]
+    depth = 0
+    while frontier:
+        depth += 1
+        candidates = {tuple(mu[k] - spec.cartan[k][i] for k in range(rank))
+                      for mu in frontier for i in range(rank)}
+        frontier = []
+        for mu in sorted(candidates - mults.keys()):
+            num = Fraction(0)
+            for root, labels, height in root_data:
+                base = lie._pair_weight_root(mu, root)
+                for j in range(1, depth // height + 1):
+                    m_up = mults.get(tuple(m + j * r for m, r in zip(mu, labels)))
+                    if m_up:
+                        num += (base + j * root.norm) * m_up
+            if num == 0:
+                continue
+            mu_rho = tuple(x + 1 for x in mu)
+            m = 2 * num / (lam_rho_norm - lie.inner_product(spec, mu_rho, mu_rho))
+            assert m.denominator == 1 and m > 0
+            mults[mu] = int(m)
+            frontier.append(mu)
+    return mults
+
+
 class TestSpecConstruction:
     def test_a3_gram_values(self):
         # (L_i, L_j) = min(i, j) - i*j/n for sl_n
@@ -144,6 +183,17 @@ class TestWeightMultiplicities:
                 for i in range(spec.rank):
                     refl = lie._reflect_simple(spec, w, i)
                     assert wm.get(refl, 0) == m
+
+    @pytest.mark.parametrize("family,rank,k", [
+        ("A", 3, 2), ("D", 4, 2), ("B", 4, 2), ("C", 3, 3), ("G", 2, 3),
+        ("F", 4, 1), ("E", 6, 1),
+    ])
+    def test_equals_full_freudenthal_reference(self, family, rank, k):
+        # same weights, multiplicities and order as the recursion over every weight
+        spec = lie.lie_algebra(family, rank)
+        for lam in lie.alcove_weights(spec, k):
+            assert (list(lie.weight_multiplicities(spec, lam).items())
+                    == list(freudenthal_reference(spec, lam).items()))
 
     def test_requires_dominant(self):
         with pytest.raises(ValueError):
