@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -138,10 +137,7 @@ def cmd_autoeq(args) -> int:
     if args.zeta is not None:
         zetas = [parse_angle(args.zeta)]
     else:
-        if not currents.exists_autoequivalence(p):
-            raise CoprimalityError(
-                f"gcd(A+1, M) = {math.gcd(p.A + 1, p.M)} != 1 "
-                f"(A = {p.A}, M = {p.M}) for {data.ring.simples[g]}")
+        currents.require_coprimality(p, data.ring.simples[g])
         zetas = currents.admissible_zetas(p)
     records = [_autoeq_record(data, currents.construct_autoeq(data, g, z))
                for z in zetas]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import fusion, groups, modular
-from .angles import RationalAngle, ZERO_ANGLE
+from .angles import RationalAngle, ZERO_ANGLE, primitive_angles
 from .groups import GroupReport, Perm
 from .modular import InconsistentDataError, InvertibleProfile, ModularCategoryData
 
@@ -83,17 +83,20 @@ def exists_autoequivalence(p: InvertibleProfile) -> bool:
     return gcd(p.A + 1, p.M) == 1
 
 
+def require_coprimality(p: InvertibleProfile, label: str) -> None:
+    """Raise CoprimalityError, naming gcd, A, M and the object, unless the gate passes."""
+    if not exists_autoequivalence(p):
+        raise CoprimalityError(
+            f"gcd(A+1, M) = {gcd(p.A + 1, p.M)} != 1 (A = {p.A}, M = {p.M}) for {label}")
+
+
 def admissible_zetas(p: InvertibleProfile) -> list[RationalAngle]:
     """All primitive M-th roots zeta with zeta^A = q^2, ascending by numerator."""
-    out = [z for z in _primitive(p.M) if z * p.A == p.q_squared]
+    out = [z for z in primitive_angles(p.M) if z * p.A == p.q_squared]
     if exists_autoequivalence(p) and not out:
         raise InconsistentDataError(
             f"no admissible zeta for M={p.M}, q={p.q} despite gcd(A+1, M) = 1")
     return out
-
-
-def _primitive(m: int) -> list[RationalAngle]:
-    return [RationalAngle(c, m) for c in range(m) if gcd(c, m) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +119,7 @@ def braided_symbol_condition(zeta: RationalAngle, q: RationalAngle, m: int) -> b
 
     This is the raw compatibility condition between the braiding and the
     R symbols of the powers of g; the four-case table in
-    :func:`classify_braided` must agree with it on admissible inputs.
+    :func:`classify_braided` agrees with it on admissible inputs.
     """
     return all((zeta * (i * j) + q * (i * j)).is_zero
                for i in range(m) for j in range(m))
@@ -125,35 +128,20 @@ def braided_symbol_condition(zeta: RationalAngle, q: RationalAngle, m: int) -> b
 def classify_braided(p: InvertibleProfile, zeta: RationalAngle) -> bool:
     """Whether the auto-equivalence for (g, zeta) is braided.
 
-    Implemented as the hard-coded four-case table; on admissible zetas the
-    answer is cross-checked against the exhaustive symbol condition, and a
-    disagreement (which would mean a bug, not bad input) raises.
+    Implemented as the four-case table of (M, q, zeta) triples; on
+    admissible zetas it equals :func:`braided_symbol_condition`.
     """
-    table = (p.M, p.q.pair, zeta.pair) in _BRAIDED_CASES
-    if zeta.is_primitive(p.M) and zeta * p.A == p.q_squared:
-        symbol = braided_symbol_condition(zeta, p.q, p.M)
-        if table != symbol:
-            raise InconsistentDataError(
-                f"braided table and symbol condition disagree at "
-                f"(M={p.M}, q={p.q}, zeta={zeta})")
-    return table
+    return (p.M, p.q.pair, zeta.pair) in _BRAIDED_CASES
 
 
 def classify_pivotal(data: ModularCategoryData, g: int) -> bool:
     """Whether the auto-equivalence is pivotal: exactly when d_g = +1."""
-    fusion._require_invertible(data.ring, g)
-    d = data.qdim[g]
-    if abs(abs(d) - 1.0) > modular.QDIM_TOL:
-        raise InconsistentDataError(
-            f"invertible {data.ring.simples[g]} has |qdim| = {abs(d)}, expected 1")
-    return d > 0
+    return modular.qdim_sign(data, g) > 0
 
 
 def order_bound(p: InvertibleProfile) -> int:
     """Least K >= 1 with (A+1)^K = 1 mod A*M; the K-th power is the identity."""
-    if not exists_autoequivalence(p):
-        raise CoprimalityError(
-            f"gcd(A+1, M) = {gcd(p.A + 1, p.M)} != 1 for {p.g}: no such K exists")
+    require_coprimality(p, f"object {p.g}")
     mod = p.A * p.M
     x = (p.A + 1) % mod
     k = 1
@@ -171,10 +159,7 @@ def construct_autoeq(data: ModularCategoryData, g: int,
                      zeta: RationalAngle) -> CurrentAutoEq:
     """Build the auto-equivalence X -> g^grade(X) (x) X for an admissible zeta."""
     p = profile(data, g)
-    if not exists_autoequivalence(p):
-        raise CoprimalityError(
-            f"gcd(A+1, M) = {gcd(p.A + 1, p.M)} != 1 "
-            f"(A = {p.A}, M = {p.M}) for {data.ring.simples[g]}")
+    require_coprimality(p, data.ring.simples[g])
     admissible = admissible_zetas(p)
     if zeta not in admissible:
         raise InadmissibleZetaError(zeta, admissible)
@@ -184,7 +169,9 @@ def construct_autoeq(data: ModularCategoryData, g: int,
     for _ in range(1, p.M):
         powers.append(groups.compose_perms(pi, powers[-1]))
     perm = tuple(powers[grades[x]][x] for x in range(data.size))
-    assert perm[data.ring.unit_index] == data.ring.unit_index
+    if perm[data.ring.unit_index] != data.ring.unit_index:
+        raise InconsistentDataError(
+            f"auto-equivalence for {data.ring.simples[g]} moves the unit")
     return CurrentAutoEq(
         data=data,
         g=g,
@@ -219,7 +206,7 @@ def commute_test(data: ModularCategoryData, g: int, h: int) -> bool:
 
     True when g and h braid symmetrically, i.e. their monodromy is trivial.
     """
-    fusion._require_invertible(data.ring, h)
+    fusion.fuse_permutation(data.ring, h)  # h must be invertible too
     return modular.monodromy(data, g, h).is_zero
 
 
@@ -282,9 +269,10 @@ def epsilon_scalar(q: RationalAngle, a: int, k: int) -> RationalAngle:
     This is the correction factor in the natural isomorphism from the K-th
     power of the auto-equivalence to the identity.  For any K satisfying
     the order-bound congruence with K odd, the exponent is a multiple of M
-    and the scalar is 1.
+    and the scalar is 1.  The exponent is summed mod the order of q.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    exponent = sum((a + 1) ** j for i in range(1, k) for j in range(i, 2 * i))
+    exponent = sum(pow(a + 1, j, q.den)
+                   for i in range(1, k) for j in range(i, 2 * i)) % q.den
     return q * (-exponent)

@@ -126,18 +126,13 @@ def invertibles(ring: FusionRing) -> list[int]:
     return list(ring.invertible_permutations)
 
 
-def _require_invertible(ring: FusionRing, g: int) -> tuple[int, ...]:
-    """The fusion permutation of g, or NotInvertibleError when g is not invertible."""
+def fuse_permutation(ring: FusionRing, g: int) -> tuple[int, ...]:
+    """The permutation X -> g (x) X of an invertible g; NotInvertibleError otherwise."""
     perm = ring.invertible_permutations.get(g)
     if perm is None:
         raise NotInvertibleError(f"object {ring.simples[g] if 0 <= g < ring.size else g} "
                                  f"is not invertible")
     return perm
-
-
-def fuse_permutation(ring: FusionRing, g: int) -> tuple[int, ...]:
-    """The permutation X -> g (x) X induced by an invertible object."""
-    return _require_invertible(ring, g)
 
 
 def invertible_order(ring: FusionRing, g: int) -> int:

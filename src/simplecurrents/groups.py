@@ -39,29 +39,23 @@ def perm_order(p: Perm) -> int:
 
 
 def close_under_composition(perms: list[Perm], cap: int = 1024) -> list[Perm]:
-    """Group generated by the given permutations, as a sorted element list."""
+    """Group generated by the given permutations, as a sorted element list
+    (breadth-first from the identity, multiplying by generators on the left)."""
     if not perms:
         raise ValueError("need at least one generator")
     n = len(perms[0])
     if any(len(p) != n for p in perms):
         raise ValueError("generators act on different sets")
-    elements = {identity_perm(n)}
-    frontier = [p for p in perms if p not in elements]
-    elements.update(frontier)
-    if len(elements) > cap:
-        raise ClosureCapExceededError(f"closure exceeded cap of {cap} elements")
-    while frontier:
-        new = []
-        for p in frontier:
-            for q in list(elements):
-                for r in (compose_perms(p, q), compose_perms(q, p)):
-                    if r not in elements:
-                        elements.add(r)
-                        new.append(r)
-                        if len(elements) > cap:
-                            raise ClosureCapExceededError(
-                                f"closure exceeded cap of {cap} elements")
-        frontier = new
+    queue = [identity_perm(n)]
+    elements = set(queue)
+    for p in queue:
+        if len(elements) > cap:
+            raise ClosureCapExceededError(f"closure exceeded cap of {cap} elements")
+        for s in perms:
+            r = compose_perms(s, p)
+            if r not in elements:
+                elements.add(r)
+                queue.append(r)
     return sorted(elements)
 
 
@@ -128,21 +122,31 @@ def _abelian_summands(table) -> list[int]:
     return [orders[a]] + _abelian_summands(qtable)
 
 
+def _centre_summands(table) -> list[int]:
+    """Cyclic invariant factors of the centre, largest first."""
+    n = len(table)
+    centre = [a for a in range(n) if all(table[a][x] == table[x][a] for x in range(n))]
+    index = {a: i for i, a in enumerate(centre)}
+    return _abelian_summands(tuple(tuple(index[table[a][b]] for b in centre)
+                                   for a in centre))
+
+
+# (order, element-order signature, centre's invariant factors) -> name
 _NONABELIAN_BY_SIGNATURE = {
-    (6, ((1, 1), (2, 3), (3, 2))): "S3",
-    (8, ((1, 1), (2, 5), (4, 2))): "D4",
-    (8, ((1, 1), (2, 1), (4, 6))): "Q8",
-    (10, ((1, 1), (2, 5), (5, 4))): "D5",
-    (12, ((1, 1), (2, 3), (3, 8))): "A4",
-    (12, ((1, 1), (2, 7), (3, 2), (6, 2))): "D6",
-    (12, ((1, 1), (2, 1), (3, 2), (4, 6), (6, 2))): "Dic3",
-    (14, ((1, 1), (2, 7), (7, 6))): "D7",
-    (16, ((1, 1), (2, 9), (4, 2), (8, 4))): "D8",
-    (16, ((1, 1), (2, 1), (4, 10), (8, 4))): "Q16",
-    (16, ((1, 1), (2, 5), (4, 6), (8, 4))): "SD16",
-    (16, ((1, 1), (2, 3), (4, 4), (8, 8))): "M4(16)",
-    (16, ((1, 1), (2, 11), (4, 4))): "D4 x Z2",
-    (16, ((1, 1), (2, 7), (4, 8))): "D4 o Z4",
+    (6, ((1, 1), (2, 3), (3, 2)), ()): "S3",
+    (8, ((1, 1), (2, 5), (4, 2)), (2,)): "D4",
+    (8, ((1, 1), (2, 1), (4, 6)), (2,)): "Q8",
+    (10, ((1, 1), (2, 5), (5, 4)), ()): "D5",
+    (12, ((1, 1), (2, 3), (3, 8)), ()): "A4",
+    (12, ((1, 1), (2, 7), (3, 2), (6, 2)), (2,)): "D6",
+    (12, ((1, 1), (2, 1), (3, 2), (4, 6), (6, 2)), (2,)): "Dic3",
+    (14, ((1, 1), (2, 7), (7, 6)), ()): "D7",
+    (16, ((1, 1), (2, 9), (4, 2), (8, 4)), (2,)): "D8",
+    (16, ((1, 1), (2, 1), (4, 10), (8, 4)), (2,)): "Q16",
+    (16, ((1, 1), (2, 5), (4, 6), (8, 4)), (2,)): "SD16",
+    (16, ((1, 1), (2, 3), (4, 4), (8, 8)), (4,)): "M4(16)",
+    (16, ((1, 1), (2, 11), (4, 4)), (2, 2)): "D4 x Z2",
+    (16, ((1, 1), (2, 7), (4, 8)), (4,)): "D4 o Z4",
 }
 
 
@@ -150,7 +154,8 @@ def isomorphism_type(table) -> str:
     """Readable isomorphism type for groups of order <= 16.
 
     Abelian groups are identified exactly (invariant factors); non-abelian
-    ones by their element-order signature, with a descriptive fallback.
+    ones by their element-order signature and centre, with a descriptive
+    fallback where these do not single out a named group.
     """
     n = len(table)
     if n == 1:
@@ -159,7 +164,8 @@ def isomorphism_type(table) -> str:
     if abelian:
         return " x ".join(f"Z{d}" for d in _abelian_summands(table))
     if n <= 16:
-        sig = (n, tuple(sorted(Counter(_element_orders(table)).items())))
+        sig = (n, tuple(sorted(Counter(_element_orders(table)).items())),
+               tuple(_centre_summands(table)))
         if sig in _NONABELIAN_BY_SIGNATURE:
             return _NONABELIAN_BY_SIGNATURE[sig]
         return f"non-abelian group of order {n}"

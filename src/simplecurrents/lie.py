@@ -172,7 +172,8 @@ def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
     gram = [[d[i] * ainv[i][j] for j in range(rank)] for i in range(rank)]
     for i in range(rank):
         for j in range(i):
-            assert gram[i][j] == gram[j][i], "Gram matrix must be symmetric"
+            if gram[i][j] != gram[j][i]:
+                raise ArithmeticError(f"Gram matrix of {family}{rank} is not symmetric")
     rho_pairing = [2 * sum(gram[i][j] for j in range(rank)) for i in range(rank)]
 
     # Highest root and dual marks, from the root system itself.
@@ -181,11 +182,13 @@ def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
     comark = []
     for i in range(rank):
         cm = theta[i] * d[i]
-        assert cm.denominator == 1, "dual marks must be integers"
+        if cm.denominator != 1:
+            raise ArithmeticError(f"dual mark {cm} of {family}{rank} is not an integer")
         comark.append(int(cm))
     hv = 1 + sum(comark)
     table = _DUAL_COXETER[family](rank)
-    assert table is not None and hv == table, f"dual Coxeter mismatch for {family}{rank}"
+    if hv != table:
+        raise ArithmeticError(f"dual Coxeter mismatch for {family}{rank}: {hv} != {table}")
     theta_labels = tuple(sum(cartan[k][i] * theta[i] for i in range(rank))
                          for k in range(rank))
 
@@ -453,7 +456,8 @@ def weyl_dimension(spec: LieAlgebraSpec, lam) -> int:
     dim = Fraction(1)
     for root in _positive_roots(spec):
         dim *= _pair_weight_root(lam_rho, root) / _pair_weight_root((1,) * spec.rank, root)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise ArithmeticError(f"Weyl dimension {dim} of {lam} is not an integer")
     return int(dim)
 
 
@@ -542,7 +546,8 @@ def fusion_with_second_diagram(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter
         if sign:
             out[tuple(x - 1 for x in folded)] += sign * m
     bad = {w: v for w, v in out.items() if v < 0}
-    assert not bad, f"negative fusion multiplicity at {bad}"
+    if bad:
+        raise ArithmeticError(f"negative fusion multiplicity at {bad}")
     return +out
 
 

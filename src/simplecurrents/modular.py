@@ -71,9 +71,17 @@ def validate(data: ModularCategoryData) -> None:
             raise InconsistentDataError(
                 f"twist not dual-invariant at {ring.simples[a]}")
     for g in fusion.invertibles(ring):
-        if abs(abs(data.qdim[g]) - 1.0) > QDIM_TOL:
-            raise InconsistentDataError(
-                f"invertible {ring.simples[g]} has |qdim| = {abs(data.qdim[g])}, expected 1")
+        qdim_sign(data, g)
+
+
+def qdim_sign(data: ModularCategoryData, g: int) -> int:
+    """sign(d_g) of an invertible g; InconsistentDataError unless |d_g| = 1."""
+    fusion.fuse_permutation(data.ring, g)
+    d = data.qdim[g]
+    if abs(abs(d) - 1.0) > QDIM_TOL:
+        raise InconsistentDataError(
+            f"invertible {data.ring.simples[g]} has |qdim| = {abs(d)}, expected 1")
+    return 1 if d > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +158,8 @@ def self_braiding(data: ModularCategoryData, g: int) -> RationalAngle:
     object with d_g = -1 occurs in the unitary level-k examples; the shift
     is a convention, fixed here once and for all.)
     """
-    fusion._require_invertible(data.ring, g)
-    d = data.qdim[g]
-    if abs(abs(d) - 1.0) > QDIM_TOL:
-        raise InconsistentDataError(
-            f"invertible {data.ring.simples[g]} has |qdim| = {abs(d)}, expected 1")
     q = data.twist[g]
-    if d < 0:
+    if qdim_sign(data, g) < 0:
         q = q + RationalAngle(1, 2)
     return q
 
@@ -182,11 +185,9 @@ def grading(data: ModularCategoryData, profile: InvertibleProfile,
     m = profile.M
     if not zeta.is_primitive(m):
         raise ValueError(f"{zeta} is not a primitive {m}-th root of unity")
-    perm = fusion.fuse_permutation(data.ring, profile.g)
-    tg = data.twist[profile.g]
     grades = []
     for x in range(data.size):
-        mono = data.twist[perm[x]] - tg - data.twist[x]
+        mono = monodromy(data, profile.g, x)
         if m % mono.order != 0:
             raise InconsistentDataError(
                 f"monodromy {mono} of {data.ring.simples[x]} is not an order-{m} root")
@@ -208,10 +209,7 @@ def grading_support(data: ModularCategoryData, profile: InvertibleProfile) -> in
 
 
 def _support_of(data: ModularCategoryData, g: int) -> int:
-    perm = fusion.fuse_permutation(data.ring, g)
-    tg = data.twist[g]
-    return lcm(*((data.twist[perm[x]] - tg - data.twist[x]).order
-                 for x in range(data.size)))
+    return lcm(*(monodromy(data, g, x).order for x in range(data.size)))
 
 
 def check_modular_grading(data: ModularCategoryData) -> None:

@@ -129,6 +129,7 @@ class TestAutoeq:
         assert cli.main(["autoeq", str(a5_file), "2L1"]) == 1
         err = capsys.readouterr().err
         assert "gcd(A+1, M) = 3" in err
+        assert "(A = 2, M = 6) for 2L1" in err
 
     def test_inadmissible_zeta_lists_admissible(self, a3_file, capsys):
         capsys.readouterr()

@@ -81,7 +81,8 @@ class TestGates:
 
     def test_coprimality_failure_raises(self, sl6_level2):
         g = sl6_level2.ring.index("2L1")  # A = 2, M = 6, gcd(3, 6) = 3
-        with pytest.raises(CoprimalityError, match="gcd"):
+        with pytest.raises(CoprimalityError,
+                           match=r"gcd\(A\+1, M\) = 3 != 1 \(A = 2, M = 6\) for 2L1$"):
             construct_autoeq(sl6_level2, g, angle(5, 6))
 
 
@@ -171,7 +172,8 @@ class TestClassification:
 
     def test_order_bound_needs_gate(self):
         p = InvertibleProfile(g=0, M=6, q=angle(5, 6), q_squared=angle(2, 3), A=2)
-        with pytest.raises(CoprimalityError):
+        with pytest.raises(CoprimalityError,
+                           match=r"gcd\(A\+1, M\) = 3 != 1 \(A = 2, M = 6\) for object 0$"):
             currents.order_bound(p)
 
 

@@ -2,12 +2,37 @@ from itertools import permutations as sym_group
 
 import pytest
 
-from simplecurrents import groups
+from simplecurrents import currents, fusion, groups
 from simplecurrents.groups import (ClosureCapExceededError,
                                    close_under_composition, compose_perms,
                                    identity_perm, inverse_perm,
                                    isomorphism_type, multiplication_table,
                                    perm_order)
+
+
+def reference_closure(perms, cap=1024):
+    """Closure by multiplying each new element with every known element on
+    both sides: O(|G|^2) compositions, kept as the oracle for the
+    breadth-first closure."""
+    n = len(perms[0])
+    elements = {identity_perm(n)}
+    frontier = [p for p in perms if p not in elements]
+    elements.update(frontier)
+    if len(elements) > cap:
+        raise ClosureCapExceededError(f"closure exceeded cap of {cap} elements")
+    while frontier:
+        new = []
+        for p in frontier:
+            for q in list(elements):
+                for r in (compose_perms(p, q), compose_perms(q, p)):
+                    if r not in elements:
+                        elements.add(r)
+                        new.append(r)
+                        if len(elements) > cap:
+                            raise ClosureCapExceededError(
+                                f"closure exceeded cap of {cap} elements")
+        frontier = new
+    return sorted(elements)
 
 
 def group_of(gens, cap=1024):
@@ -61,6 +86,50 @@ class TestPermBasics:
         gens = [(1, 2, 3, 4, 0)]
         with pytest.raises(ClosureCapExceededError):
             close_under_composition(gens, cap=3)
+
+
+def dihedral_generators(n):
+    return [tuple(list(range(1, n)) + [0]), tuple(reversed(range(n)))]
+
+
+def table_of(elements, mult):
+    """Multiplication table of a group given by its elements and product."""
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[mult(a, b)] for b in elements) for a in elements)
+
+
+def autoeq_generator_sets(data):
+    """The auto-equivalences of each invertible, and all of them together."""
+    aes = currents.all_autoequivalences(data)
+    sets = [[a.permutation for a in aes if a.g == g]
+            for g in fusion.invertibles(data.ring)]
+    return [s for s in sets if s] + [[a.permutation for a in aes]]
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("name", ["sl4-2", "sl6-2", "so8-2"])
+    def test_autoequivalence_groups(self, example_categories, name):
+        for gens in autoeq_generator_sets(example_categories[name]):
+            assert close_under_composition(gens) == reference_closure(gens)
+
+    @pytest.mark.parametrize("gens", [
+        [(1, 0, 2, 3), (1, 2, 3, 0)],                     # S4
+        dihedral_generators(8),                           # D8
+        [regular_representation(quaternion_table())[i] for i in (2, 4)],  # Q8
+        [(0, 1, 2, 3)],                                   # trivial
+    ])
+    def test_small_groups(self, gens):
+        assert close_under_composition(gens) == reference_closure(gens)
+
+    @pytest.mark.parametrize("gens", [[(1, 0, 2, 3), (1, 2, 3, 0)], dihedral_generators(8)])
+    def test_same_cap_error(self, gens):
+        size = len(reference_closure(gens))
+        for cap in (0, 1, size - 1):
+            with pytest.raises(ClosureCapExceededError, match=f"cap of {cap} elements"):
+                close_under_composition(gens, cap=cap)
+            with pytest.raises(ClosureCapExceededError, match=f"cap of {cap} elements"):
+                reference_closure(gens, cap=cap)
+        assert close_under_composition(gens, cap=size) == reference_closure(gens, cap=size)
 
 
 class TestIsomorphismType:
@@ -123,6 +192,29 @@ class TestIsomorphismType:
         reflection = tuple(reversed(range(6)))
         _, table = group_of([rotation, reflection])
         assert isomorphism_type(table) == "D6"
+
+    def test_pauli_group_is_d4_o_z4(self):
+        # i^k X^x Z^z as (k, x, z), with Z X = -X Z; centre Z4
+        elements = [(k, x, z) for k in range(4) for x in range(2) for z in range(2)]
+        table = table_of(elements, lambda a, b: ((a[0] + b[0] + 2 * a[2] * b[1]) % 4,
+                                                  (a[1] + b[1]) % 2, (a[2] + b[2]) % 2))
+        assert isomorphism_type(table) == "D4 o Z4"
+
+    def test_smallgroup_16_3_is_not_d4_o_z4(self):
+        # <a, b, c | a^4 = b^2 = c^2 = 1, ab = ba, bc = cb, cac = ab>: the same
+        # element orders as the Pauli group (7 involutions, 8 of order 4),
+        # but its centre is Z2 x Z2
+        def mult(u, v):
+            i, j, c = u
+            k, l, d = v
+            if c:  # conjugating by c sends a^k b^l to a^k b^(l+k)
+                l = (l + k) % 2
+            return ((i + k) % 4, (j + l) % 2, (c + d) % 2)
+
+        elements = [(i, j, c) for i in range(4) for j in range(2) for c in range(2)]
+        elements, table = group_of(regular_representation(table_of(elements, mult)))
+        assert len(elements) == 16
+        assert isomorphism_type(table) == "non-abelian group of order 16"
 
     def test_large_group_fallback(self):
         elements = sorted(sym_group(range(4)))

@@ -99,10 +99,12 @@ class TestBraidedCondition:
 
     def test_table_matches_symbol_condition_sweep(self):
         # the four-case table equals the exhaustive symbol condition on every
-        # admissible (profile, zeta) with M <= 12, and solutions exist only
-        # at M in {1, 2, 3, 4} with the published (q, zeta) pairs
+        # admissible (profile, zeta) with M <= 30, the largest invertible order
+        # among the benchmark's categories (SU(30)_1, SU(2)xSU(3)xSU(5) at
+        # level 1), and solutions exist only at M in {1, 2, 3, 4} with the
+        # published (q, zeta) pairs
         solutions = set()
-        for m in range(1, 13):
+        for m in range(1, 31):
             for q in realisable_qs(m):
                 p = profile_for(m, q)
                 if not currents.exists_autoequivalence(p):
@@ -149,6 +151,14 @@ class TestEpsilonScalar:
                         assert currents.epsilon_scalar(q, p.A, k).is_zero, (m, str(q), k)
                         checked += 1
         assert checked > 30
+
+    def test_matches_unreduced_exponent_at_large_k(self):
+        # the exponent reduced mod the order of q gives the same angle as the
+        # unreduced big-integer sum of (A+1)^j
+        q, a, k = angle(5, 12), 2, 120
+        exponent = sum((a + 1) ** j for i in range(1, k) for j in range(i, 2 * i))
+        assert exponent.bit_length() > 300
+        assert currents.epsilon_scalar(q, a, k) == q * (-exponent)
 
     def test_even_k_can_be_nontrivial(self):
         assert not currents.epsilon_scalar(angle(3, 4), 2, 2).is_zero
