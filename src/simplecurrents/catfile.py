@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import fusion, lie, modular
 from .angles import RationalAngle
 from .fusion import FusionRing
@@ -36,12 +38,8 @@ class CategoryFileError(ValueError):
 
 def category_to_payload(data: ModularCategoryData, source) -> dict:
     ring = data.ring
-    quads = sorted(
-        [a, b, c, m]
-        for (a, b), fiber in ring.tensor.items()
-        for c, m in fiber.items()
-        if m
-    )
+    t = ring.table
+    quads = [[*abc, m] for abc, m in zip(np.argwhere(t).tolist(), t[t != 0].tolist())]
     return {
         "schema_version": SCHEMA_VERSION,
         "source": source,
@@ -104,8 +102,7 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
                 f"twist [{num},{den}] must be stored reduced with 0 <= num < den")
         twists.append(t)
 
-    ring = FusionRing(simples=tuple(simples), unit_index=0, dual=tuple(dual),
-                      tensor=tensor)
+    ring = FusionRing(simples=simples, unit_index=0, dual=dual, tensor=tensor)
     violation = fusion.axiom_violation(ring)
     if violation is not None:
         raise CategoryFileError(f"fusion axioms fail: {violation}")

@@ -101,7 +101,7 @@ def cmd_invertibles(args) -> int:
         if g == ring.unit_index:
             continue
         p = currents.profile(data, g)
-        rows.append((ring.simples[g], p.M, render_angle(p.q), p.A,
+        rows.append((p.label, p.M, render_angle(p.q), p.A,
                      "yes" if currents.exists_autoequivalence(p) else "no"))
     if not rows:
         print("no non-trivial invertible objects")
@@ -137,7 +137,7 @@ def cmd_autoeq(args) -> int:
     if args.zeta is not None:
         zetas = [parse_angle(args.zeta)]
     else:
-        currents.require_coprimality(p, data.ring.simples[g])
+        currents.require_coprimality(p)
         zetas = currents.admissible_zetas(p)
     records = [_autoeq_record(data, currents.construct_autoeq(data, g, z))
                for z in zetas]

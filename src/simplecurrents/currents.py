@@ -75,7 +75,8 @@ def profile(data: ModularCategoryData, g: int) -> InvertibleProfile:
     if (2 * m) % q.order != 0 or (m % 2 == 1 and m % q.order != 0):
         raise InconsistentDataError(
             f"q = {q} has invalid order for an invertible of order {m}")
-    return InvertibleProfile(g=g, M=m, q=q, q_squared=q2, A=m // q2.order)
+    return InvertibleProfile(g=g, label=ring.simples[g], M=m, q=q, q_squared=q2,
+                             A=m // q2.order)
 
 
 def exists_autoequivalence(p: InvertibleProfile) -> bool:
@@ -83,11 +84,11 @@ def exists_autoequivalence(p: InvertibleProfile) -> bool:
     return gcd(p.A + 1, p.M) == 1
 
 
-def require_coprimality(p: InvertibleProfile, label: str) -> None:
+def require_coprimality(p: InvertibleProfile) -> None:
     """Raise CoprimalityError, naming gcd, A, M and the object, unless the gate passes."""
     if not exists_autoequivalence(p):
         raise CoprimalityError(
-            f"gcd(A+1, M) = {gcd(p.A + 1, p.M)} != 1 (A = {p.A}, M = {p.M}) for {label}")
+            f"gcd(A+1, M) = {gcd(p.A + 1, p.M)} != 1 (A = {p.A}, M = {p.M}) for {p.label}")
 
 
 def admissible_zetas(p: InvertibleProfile) -> list[RationalAngle]:
@@ -141,7 +142,7 @@ def classify_pivotal(data: ModularCategoryData, g: int) -> bool:
 
 def order_bound(p: InvertibleProfile) -> int:
     """Least K >= 1 with (A+1)^K = 1 mod A*M; the K-th power is the identity."""
-    require_coprimality(p, f"object {p.g}")
+    require_coprimality(p)
     mod = p.A * p.M
     x = (p.A + 1) % mod
     k = 1
@@ -159,7 +160,7 @@ def construct_autoeq(data: ModularCategoryData, g: int,
                      zeta: RationalAngle) -> CurrentAutoEq:
     """Build the auto-equivalence X -> g^grade(X) (x) X for an admissible zeta."""
     p = profile(data, g)
-    require_coprimality(p, data.ring.simples[g])
+    require_coprimality(p)
     admissible = admissible_zetas(p)
     if zeta not in admissible:
         raise InadmissibleZetaError(zeta, admissible)

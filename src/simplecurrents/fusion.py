@@ -1,9 +1,8 @@
 """Abstract fusion rings: axioms, invertible objects, and ring automorphisms.
 
 A ring is a finite list of simple-object labels, a distinguished unit, a dual
-involution, and the sparse fusion tensor N^c_{ab}.  Everything here is exact
-integer arithmetic; the only numpy use is vectorising the associativity and
-automorphism checks, which stay in int64 throughout.
+involution, and one read-only int64 table of the fusion rules N^c_{ab}.  All
+arithmetic is exact; numpy vectorises the checks, in int64 throughout.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,46 +19,55 @@ class NotInvertibleError(ValueError):
     """An operation that requires an invertible object got a non-invertible one."""
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FusionRing:
-    """A fusion ring over an ordered set of simple objects.
+    """A frozen fusion ring over an ordered set of simple objects.
 
-    ``tensor`` is sparse, keyed by the pair (a, b); the fiber over each pair
-    maps c -> N^c_{ab} with only nonzero entries stored.  Instances are
-    immutable after construction; all queries are read-only and thread-safe.
+    Built from a sparse ``tensor`` {(a, b): {c: N^c_{ab}}} and kept only as the
+    read-only int64 ``table`` T[a, b, c] = N^c_{ab}, so every query is read-only
+    and thread-safe.  Rings are equal when labels, unit, dual and table are.
     """
 
     simples: tuple[str, ...]
     unit_index: int
     dual: tuple[int, ...]
-    tensor: dict[tuple[int, int], dict[int, int]] = field(repr=False)
+    table: np.ndarray = field(init=False, repr=False)
+
+    def __init__(self, simples, unit_index: int, dual, tensor: dict):
+        table = np.zeros((len(simples),) * 3, dtype=np.int64)
+        for (a, b), fiber in tensor.items():
+            for c, m in fiber.items():
+                table[a, b, c] = m
+        table.setflags(write=False)
+        object.__setattr__(self, "simples", tuple(simples))
+        object.__setattr__(self, "unit_index", unit_index)
+        object.__setattr__(self, "dual", tuple(dual))
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other) -> bool:
+        return other is self or (
+            isinstance(other, FusionRing)
+            and (self.simples, self.unit_index, self.dual)
+            == (other.simples, other.unit_index, other.dual)
+            and np.array_equal(self.table, other.table))
 
     @property
     def size(self) -> int:
         return len(self.simples)
 
-    def N(self, a: int, b: int, c: int) -> int:
-        return self.tensor.get((a, b), {}).get(c, 0)
-
-    def product(self, a: int, b: int) -> dict[int, int]:
-        """The multiset a (x) b as a dict c -> multiplicity."""
-        return dict(self.tensor.get((a, b), {}))
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Dense int64 view T[a, b, c] = N^c_{ab} (cached)."""
-        n = self.size
-        t = np.zeros((n, n, n), dtype=np.int64)
-        for (a, b), fiber in self.tensor.items():
-            for c, m in fiber.items():
-                t[a, b, c] = m
-        t.setflags(write=False)
-        return t
+    @property
+    def tensor(self) -> dict[tuple[int, int], dict[int, int]]:
+        """A new dict (a, b) -> {c: N^c_{ab}} of the nonzero entries of ``table``."""
+        t = self.table
+        out = {}
+        for (a, b, c), m in zip(np.argwhere(t).tolist(), t[t != 0].tolist()):
+            out.setdefault((a, b), {})[c] = m
+        return out
 
     @cached_property
-    def invertible_permutations(self) -> dict[int, tuple[int, ...]]:
+    def invertible_permutations(self) -> MappingProxyType[int, tuple[int, ...]]:
         """The permutation X -> g (x) X of each invertible simple g, keyed by g
-        in index order (cached).
+        in index order (cached, read-only).
 
         g is invertible when the products g (x) X hold n simples in all and
         g (x) g* contains the unit once.
@@ -67,12 +76,12 @@ class FusionRing:
         t = self.table
         out = {}
         for g in range(n):
-            if t[g].sum() == n and self.N(g, self.dual[g], self.unit_index) == 1:
+            if t[g].sum() == n and t[g, self.dual[g], self.unit_index] == 1:
                 rows, cols = np.nonzero(t[g])
                 if not np.array_equal(rows, np.arange(n)):
                     raise ValueError(f"fusion by {self.simples[g]} is not a permutation")
                 out[g] = tuple(cols.tolist())
-        return out
+        return MappingProxyType(out)
 
     def index(self, label: str) -> int:
         try:

@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 Weight = tuple[int, ...]
 
@@ -369,7 +370,7 @@ def _dominant_representative(spec: LieAlgebraSpec, xi: Weight) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> dict[Weight, int]:
+def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType[Weight, int]:
     """Full weight diagram of the irreducible module with highest weight lam.
 
     Multiplicities are constant on Weyl orbits, so the Freudenthal recursion
@@ -379,9 +380,9 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> dict[Weight, int
     m(mu + j*alpha) is read off the dominant representative of mu + j*alpha,
     the j-loop stops at the end of the unbroken alpha-string, and every inner
     product is scaled to an integer.  Each dominant weight's Weyl orbit is
-    then expanded.  The returned dict maps each weight of the module to its
-    multiplicity, ordered by depth (height of lam - mu) and then by labels;
-    the total count equals the Weyl dimension.
+    then expanded.  The returned read-only mapping (it is cached) takes each
+    weight of the module to its multiplicity, ordered by depth (height of
+    lam - mu) and then by labels; the total count equals the Weyl dimension.
     """
     lam = _check_weight(spec, lam)
     if any(x < 0 for x in lam):
@@ -440,7 +441,7 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> dict[Weight, int
             layer = nxt
         diagram.extend((d, w, m) for w, d in orbit.items())
     diagram.sort()
-    return {w: m for _, w, m in diagram}
+    return MappingProxyType({w: m for _, w, m in diagram})
 
 
 @lru_cache(maxsize=None)

@@ -25,9 +25,9 @@ class InconsistentDataError(RuntimeError):
     """Category data violates an identity it is required to satisfy."""
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class ModularCategoryData:
-    """A fusion ring with twist angles and quantum dimensions per simple."""
+    """A fusion ring with twist angles and quantum dimensions per simple (frozen)."""
 
     ring: FusionRing
     twist: tuple[RationalAngle, ...]
@@ -45,10 +45,11 @@ class InvertibleProfile:
 
     M is the fusion order of g, q the eigenvalue of its self-braiding, and
     A = M / order(q^2), the integer controlling both the coprimality gate
-    and the degree shift of the induced grading permutation.
+    and the degree shift of the induced grading permutation; label names g.
     """
 
     g: int
+    label: str
     M: int
     q: RationalAngle
     q_squared: RationalAngle
@@ -95,8 +96,8 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     Simple objects are the level-k alcove weights in lexicographic order
     (unit first); the fusion tensor comes from the Kac-Walton fold, twists
     from conformal weights mod 1, quantum dimensions from the sine product.
-    The result is cached per (algebra, level) and must be treated as
-    immutable by callers.
+    The result is cached per (algebra, level); it is frozen, and its ring's
+    table is read-only, so no caller can change what later callers get.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
@@ -109,10 +110,7 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     for a in range(n):
         for b in range(a, n):
             prod = lie.fusion_coefficients(spec, k, weights[a], weights[b])
-            fiber = {index[w]: m for w, m in prod.items()}
-            tensor[(a, b)] = fiber
-            if a != b:
-                tensor[(b, a)] = dict(fiber)
+            tensor[(a, b)] = tensor[(b, a)] = {index[w]: m for w, m in prod.items()}
 
     dual = []
     for a in range(n):
@@ -124,7 +122,7 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     ring = FusionRing(
         simples=tuple(lie.weight_label(w) for w in weights),
         unit_index=unit,
-        dual=tuple(dual),
+        dual=dual,
         tensor=tensor,
     )
     violation = fusion.axiom_violation(ring)

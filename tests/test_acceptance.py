@@ -89,7 +89,10 @@ def test_criterion_3_sl6_level2_golden():
     reason="order-3 invertibles with primitive self-braiding admit only "
            "zeta = q^{-1}, which the braided classification table accepts, "
            "so the order-3 auto-equivalences here are braided and the "
-           "exclusivity clause cannot hold; kept as a documented conflict",
+           "exclusivity clause cannot hold; kept as a documented conflict. "
+           "The permutations of 2L2 and 2L4 at zeta = 2/3 move 14 of the 21 "
+           "simples and preserve every twist, so the permutation cannot "
+           "settle the paper's 'not braided'; only the natural isomorphism can",
 )
 def test_criterion_3_braided_exclusivity_clause():
     print("[acceptance] criterion 3 braided-exclusivity clause: "
@@ -98,6 +101,15 @@ def test_criterion_3_braided_exclusivity_clause():
     ae2 = currents.construct_autoeq(data, data.ring.index("2L2"), angle(2, 3))
     ae4 = currents.construct_autoeq(data, data.ring.index("2L4"), angle(2, 3))
     assert not ae2.braided and not ae4.braided
+
+
+def test_sl6_level2_order3_permutations_preserve_every_twist():
+    # the fact recorded in the reason of the strict xfail above
+    data = modular.build_wzw_data(lie.lie_algebra("A", 5), 2)
+    for label in ("2L2", "2L4"):
+        perm = currents.construct_autoeq(data, data.ring.index(label), angle(2, 3)).permutation
+        assert sum(x != y for x, y in enumerate(perm)) == 14
+        assert all(data.twist[y] == data.twist[x] for x, y in enumerate(perm))
 
 
 def test_criterion_4_so8_level2_golden():
@@ -136,7 +148,7 @@ def _realisable_qs(m):
 
 def _profile_for(m, q):
     q2 = q + q
-    return InvertibleProfile(g=0, M=m, q=q, q_squared=q2, A=m // q2.order)
+    return InvertibleProfile(g=0, label="g", M=m, q=q, q_squared=q2, A=m // q2.order)
 
 
 def _totient(n):

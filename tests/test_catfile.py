@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from simplecurrents import catfile, currents, fusion, groups, lie, modular
@@ -47,6 +48,24 @@ def test_built_file_matches_golden_hash(family, rank, level):
         data, {"family": family, "rank": rank, "level": level}))
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
             == GOLDEN_SHA256[family, rank, level])
+
+
+def test_cached_build_unchanged_by_editing_its_tensor(tmp_path):
+    # ring.tensor is a new dict on every read, so editing it cannot reach the
+    # cached ring, the file written from it, or what later builds return
+    spec, source = lie.lie_algebra("A", 3), {"family": "A", "rank": 3, "level": 2}
+    data = modular.build_wzw_data(spec, 2)
+    ring = data.ring
+    table = ring.table.copy()
+    a = ring.index("L1")
+    c = next(iter(ring.tensor[a, a]))
+    ring.tensor[a, a][c] += 1
+    assert modular.build_wzw_data(spec, 2) is data
+    assert np.array_equal(ring.table, table)
+    path = tmp_path / "A3-2.json"
+    catfile.save_category(path, data, source)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["A", 3, 2]
+    assert catfile.load_category(path)[0].ring == ring
 
 
 class TestRoundTrip:

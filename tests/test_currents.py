@@ -1,6 +1,6 @@
 import pytest
 
-from simplecurrents import currents, fusion, groups, modular
+from simplecurrents import currents, fusion, groups, lie, modular
 from simplecurrents.angles import ZERO_ANGLE, angle
 from simplecurrents.currents import (CoprimalityError, InadmissibleZetaError,
                                      all_autoequivalences, construct_autoeq)
@@ -36,7 +36,7 @@ class TestGates:
         assert currents.admissible_zetas(p) == [angle(1, 4), angle(3, 4)]
 
     def test_admissible_zetas_order3(self):
-        p = InvertibleProfile(g=0, M=3, q=angle(1, 3), q_squared=angle(2, 3), A=1)
+        p = InvertibleProfile(g=0, label="g", M=3, q=angle(1, 3), q_squared=angle(2, 3), A=1)
         assert currents.admissible_zetas(p) == [angle(2, 3)]
 
     def test_admissible_zetas_unit(self, sl4_level2):
@@ -149,6 +149,26 @@ class TestConstruction:
 
 
 class TestClassification:
+    @pytest.mark.parametrize("family,rank,level,count,braided", [
+        ("A", 3, 2, 6, 3), ("A", 5, 2, 4, 4), ("D", 4, 2, 4, 1), ("A", 2, 3, 5, 1),
+        ("A", 2, 6, 5, 1), ("A", 8, 1, 11, 1), ("E", 6, 1, 3, 3),
+    ])
+    def test_braided_flag_against_ring_and_twists(self, family, rank, level, count,
+                                                  braided):
+        # a braided auto-equivalence is a fusion-ring automorphism that keeps
+        # every twist; this checks the table without the symbol calculus
+        data = modular.build_wzw_data(lie.lie_algebra(family, rank), level)
+        autoeqs = currents.all_autoequivalences(data)
+        assert (len(autoeqs), sum(ae.braided for ae in autoeqs)) == (count, braided)
+        for ae in autoeqs:
+            keeps_twists = all(data.twist[y] == data.twist[x]
+                               for x, y in enumerate(ae.permutation))
+            if ae.braided:
+                assert fusion.is_ring_automorphism(data.ring, ae.permutation)
+                assert keeps_twists
+            if not keeps_twists:
+                assert not ae.braided
+
     def test_braided_flags_sl4(self, sl4_level2):
         p = currents.profile(sl4_level2, sl4_level2.ring.index("2L1"))
         assert currents.classify_braided(p, angle(1, 4))
@@ -164,16 +184,17 @@ class TestClassification:
         assert currents.classify_pivotal(sl4_level2, sl4_level2.ring.unit_index)
 
     def test_order_bounds(self):
-        mk = lambda m, q, a: InvertibleProfile(g=0, M=m, q=q, q_squared=q + q, A=a)
+        mk = lambda m, q, a: InvertibleProfile(g=0, label="g", M=m, q=q, q_squared=q + q, A=a)
         assert currents.order_bound(mk(4, angle(3, 4), 2)) == 2
         assert currents.order_bound(mk(3, angle(1, 3), 1)) == 2
         assert currents.order_bound(mk(2, ZERO_ANGLE, 2)) == 2
         assert currents.order_bound(mk(1, ZERO_ANGLE, 1)) == 1
 
-    def test_order_bound_needs_gate(self):
-        p = InvertibleProfile(g=0, M=6, q=angle(5, 6), q_squared=angle(2, 3), A=2)
+    def test_order_bound_needs_gate(self, sl6_level2):
+        p = currents.profile(sl6_level2, sl6_level2.ring.index("2L1"))
+        assert (p.M, p.q, p.A) == (6, angle(5, 6), 2)
         with pytest.raises(CoprimalityError,
-                           match=r"gcd\(A\+1, M\) = 3 != 1 \(A = 2, M = 6\) for object 0$"):
+                           match=r"gcd\(A\+1, M\) = 3 != 1 \(A = 2, M = 6\) for 2L1$"):
             currents.order_bound(p)
 
 

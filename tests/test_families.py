@@ -90,4 +90,5 @@ def test_a11_level1_is_pointed_z12():
     for i in range(12):
         assert data.twist[index[i]] == angle(i * (12 - i), 24)
         for j in range(12):
-            assert data.ring.product(index[i], index[j]) == {index[(i + j) % 12]: 1}
+            row = data.ring.table[index[i], index[j]]
+            assert row.tolist() == [int(c == index[(i + j) % 12]) for c in range(12)]

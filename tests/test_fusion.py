@@ -1,5 +1,7 @@
+import dataclasses
 from math import gcd
 
+import numpy as np
 import pytest
 
 from simplecurrents import fusion
@@ -85,8 +87,9 @@ class TestInvertibles:
             for g in inv:
                 assert ring.dual[g] in inv
                 for h in inv:
-                    prod = ring.product(g, h)
-                    assert len(prod) == 1 and set(prod) <= inv
+                    (prod,) = ring.table[g, h].nonzero()
+                    assert len(prod) == 1 and ring.table[g, h, prod[0]] == 1
+                    assert set(prod.tolist()) <= inv
                 assert exponent % fusion.invertible_order(ring, g) == 0
 
     def test_non_invertible_rejected(self, sl4_level2):
@@ -121,7 +124,7 @@ class TestFusePermutation:
                 pg = fusion.fuse_permutation(ring, g)
                 for h in fusion.invertibles(ring):
                     ph = fusion.fuse_permutation(ring, h)
-                    (gh,) = ring.product(g, h)
+                    (gh,) = ring.table[g, h].nonzero()[0].tolist()
                     pgh = fusion.fuse_permutation(ring, gh)
                     assert tuple(pg[ph[x]] for x in range(ring.size)) == pgh
 
@@ -152,3 +155,39 @@ class TestRingAutomorphism:
         perm[0], perm[1] = perm[1], perm[0]
         with pytest.raises(ValueError):
             fusion.is_ring_automorphism(ring, tuple(perm))
+
+
+class TestReadOnly:
+    def test_table_is_read_only(self, sl4_level2):
+        with pytest.raises(ValueError):
+            sl4_level2.ring.table[0, 0, 0] = 2
+
+    @pytest.mark.parametrize("name", ["simples", "unit_index", "dual", "table",
+                                      "invertible_permutations", "extra"])
+    def test_attributes_cannot_be_assigned(self, sl4_level2, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sl4_level2.ring, name, None)
+
+    def test_invertible_permutations_are_read_only(self, sl4_level2):
+        perms = sl4_level2.ring.invertible_permutations
+        with pytest.raises(TypeError):
+            perms[sl4_level2.ring.unit_index] = ()
+
+    def test_tensor_is_a_new_dict_of_the_nonzero_entries(self, sl4_level2):
+        ring = sl4_level2.ring
+        tensor = ring.tensor
+        assert tensor is not ring.tensor and tensor == ring.tensor
+        entries = {(a, b, c): m for (a, b), fiber in tensor.items() for c, m in fiber.items()}
+        assert entries == {tuple(i): ring.table[tuple(i)]
+                           for i in np.argwhere(ring.table).tolist()}
+        assert all(m > 0 for m in entries.values())
+
+    def test_equality_compares_labels_unit_dual_and_table(self, sl4_level2):
+        ring = sl4_level2.ring
+        tensor = ring.tensor
+        assert FusionRing(ring.simples, ring.unit_index, ring.dual, tensor) == ring
+        relabelled = ("1",) + ring.simples[1:]
+        assert FusionRing(relabelled, ring.unit_index, ring.dual, tensor) != ring
+        a = ring.index("L1")
+        tensor[a, a][next(iter(tensor[a, a]))] += 1
+        assert FusionRing(ring.simples, ring.unit_index, ring.dual, tensor) != ring

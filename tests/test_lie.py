@@ -163,6 +163,14 @@ class TestWeightMultiplicities:
     def test_trivial_module(self):
         assert lie.weight_multiplicities(A3, (0, 0, 0)) == {(0, 0, 0): 1}
 
+    def test_cached_diagram_is_read_only(self):
+        wm = lie.weight_multiplicities(A3, (1, 0, 1))
+        items = list(wm.items())
+        with pytest.raises(TypeError):
+            wm[(0, 0, 0)] = 4
+        assert list(lie.weight_multiplicities(A3, (1, 0, 1)).items()) == items
+        assert wm[(0, 0, 0)] == 3
+
     @pytest.mark.parametrize("spec,lam,dim", [
         (A3, (2, 0, 0), 10),
         (A3, (0, 1, 0), 6),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from simplecurrents import currents, fusion, lie, modular
@@ -7,6 +9,11 @@ from simplecurrents.modular import InconsistentDataError
 
 
 class TestBuild:
+    @pytest.mark.parametrize("name", ["ring", "twist", "qdim", "weights", "extra"])
+    def test_data_is_frozen(self, sl4_level2, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sl4_level2, name, None)
+
     def test_sl4_level2(self, sl4_level2):
         assert sl4_level2.size == 10
         ring = sl4_level2.ring

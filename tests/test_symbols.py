@@ -25,7 +25,7 @@ def realisable_qs(m):
 def profile_for(m, q):
     q2 = q + q
     assert m % q2.order == 0
-    return InvertibleProfile(g=0, M=m, q=q, q_squared=q2, A=m // q2.order)
+    return InvertibleProfile(g=0, label="g", M=m, q=q, q_squared=q2, A=m // q2.order)
 
 
 def totient(n):
