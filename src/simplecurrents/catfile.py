@@ -75,6 +75,10 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
     n = len(simples)
     if n == 0:
         raise CategoryFileError("category must have at least one simple object")
+    try:
+        fusion.check_size(n, "category file")
+    except fusion.TooLargeError as exc:
+        raise CategoryFileError(str(exc)) from None
     if len(set(simples)) != n:
         raise CategoryFileError("simple labels must be distinct")
     if len(dual) != n or len(twists_raw) != n or len(qdims) != n:
@@ -103,7 +107,10 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
         twists.append(t)
 
     ring = FusionRing(simples=simples, unit_index=0, dual=dual, tensor=tensor)
-    violation = fusion.axiom_violation(ring)
+    try:
+        violation = fusion.axiom_violation(ring)
+    except fusion.TooLargeError as exc:
+        raise CategoryFileError(str(exc)) from None
     if violation is not None:
         raise CategoryFileError(f"fusion axioms fail: {violation}")
 

@@ -156,10 +156,16 @@ def order_bound(p: InvertibleProfile) -> int:
 # construction
 
 
-def construct_autoeq(data: ModularCategoryData, g: int,
-                     zeta: RationalAngle) -> CurrentAutoEq:
-    """Build the auto-equivalence X -> g^grade(X) (x) X for an admissible zeta."""
-    p = profile(data, g)
+def construct_autoeq(data: ModularCategoryData, g: int, zeta: RationalAngle,
+                     p: InvertibleProfile | None = None) -> CurrentAutoEq:
+    """Build the auto-equivalence X -> g^grade(X) (x) X for an admissible zeta.
+
+    ``p`` is g's profile, computed here unless the caller already has it.
+    """
+    if p is None:
+        p = profile(data, g)
+    elif p.g != g:
+        raise ValueError(f"profile of object {p.g} ({p.label}) given for object {g}")
     require_coprimality(p)
     admissible = admissible_zetas(p)
     if zeta not in admissible:
@@ -194,7 +200,7 @@ def all_autoequivalences(data: ModularCategoryData) -> list[CurrentAutoEq]:
         if not exists_autoequivalence(p):
             continue
         for zeta in admissible_zetas(p):
-            out.append(construct_autoeq(data, g, zeta))
+            out.append(construct_autoeq(data, g, zeta, p))
     return out
 
 

@@ -2,7 +2,11 @@
 
 A ring is a finite list of simple-object labels, a distinguished unit, a dual
 involution, and one read-only int64 table of the fusion rules N^c_{ab}.  All
-arithmetic is exact; numpy vectorises the checks, in int64 throughout.
+arithmetic is exact.  The associativity check runs in float64 matrix products,
+one simple at a time, in a few n^3 arrays: exact while n * max(N)^2 < 2^53,
+which it checks first.  A ring may have at most MAX_SIMPLES simples, so that
+the table and the check fit in memory; larger inputs are refused with
+TooLargeError before any work.
 """
 
 from __future__ import annotations
@@ -15,8 +19,29 @@ from types import MappingProxyType
 import numpy as np
 
 
+#: Largest simple count of a ring.  The table and the associativity check hold
+#: about four n^3 arrays of 8-byte numbers (the int64 table, its float64 copy
+#: and two products): 32 n^3 bytes, 2.05 GB at n = 400, under a third of a
+#: 7 GB machine.  It admits A3 at level 8 (165 simples, about 150 MB).
+MAX_SIMPLES = 400
+
+#: Float64 holds every integer below this exactly.
+EXACT_FLOAT_LIMIT = 2 ** 53
+
+
 class NotInvertibleError(ValueError):
     """An operation that requires an invertible object got a non-invertible one."""
+
+
+class TooLargeError(ValueError):
+    """A ring too large for the exact, bounded-memory axiom check."""
+
+
+def check_size(n: int, what: str) -> None:
+    """Raise TooLargeError, naming ``what``, n and the limit, if n > MAX_SIMPLES."""
+    if n > MAX_SIMPLES:
+        raise TooLargeError(f"{what} has {n} simple objects, more than the limit "
+                            f"of {MAX_SIMPLES}")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -26,6 +51,8 @@ class FusionRing:
     Built from a sparse ``tensor`` {(a, b): {c: N^c_{ab}}} and kept only as the
     read-only int64 ``table`` T[a, b, c] = N^c_{ab}, so every query is read-only
     and thread-safe.  Rings are equal when labels, unit, dual and table are.
+    More than MAX_SIMPLES simples raise TooLargeError, and a key a, b or c
+    outside [0, n) raises ValueError, before the table is allocated or filled.
     """
 
     simples: tuple[str, ...]
@@ -34,9 +61,14 @@ class FusionRing:
     table: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, simples, unit_index: int, dual, tensor: dict):
-        table = np.zeros((len(simples),) * 3, dtype=np.int64)
+        n = len(simples)
+        check_size(n, "fusion ring")
+        table = np.zeros((n,) * 3, dtype=np.int64)
         for (a, b), fiber in tensor.items():
             for c, m in fiber.items():
+                if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+                    raise ValueError(f"fusion key (a, b, c) = ({a}, {b}, {c}) is outside "
+                                     f"[0, {n})")
                 table[a, b, c] = m
         table.setflags(write=False)
         object.__setattr__(self, "simples", tuple(simples))
@@ -91,7 +123,16 @@ class FusionRing:
 
 
 def axiom_violation(ring: FusionRing) -> str | None:
-    """First violated fusion-ring identity, or None when all axioms hold."""
+    """First violated fusion-ring identity, or None when all axioms hold.
+
+    Associativity, sum_e N^e_{ab} N^d_{ec} = sum_f N^f_{bc} N^d_{af}, is
+    checked one a at a time as two float64 matrix products of n^3 entries each,
+    so the check needs a few n^3 arrays (the ring has at most MAX_SIMPLES
+    simples).  Every partial sum is an integer of at most n * max(N)^2, so the
+    products are exact when n * max(N)^2 < 2^53; a ring that breaks this bound
+    raises TooLargeError naming n, max(N) and the bound.  A failure names the
+    first (a, b, c, d) in lexicographic order.
+    """
     n = ring.size
     u = ring.unit_index
     t = ring.table
@@ -115,13 +156,20 @@ def axiom_violation(ring: FusionRing) -> str | None:
         for b in range(n):
             if t[a, b, u] != (b == ring.dual[a]):
                 return f"duality fails: N^unit_{{{a},{b}}} = {t[a, b, u]}"
-    # Associativity: sum_e N^e_{ab} N^d_{ec} = sum_f N^f_{bc} N^d_{af}.
-    lhs = np.einsum("abe,ecd->abcd", t, t)
-    rhs = np.einsum("bcf,afd->abcd", t, t)
-    if not (lhs == rhs).all():
-        a, b, c, d = map(int, np.argwhere(lhs != rhs)[0])
-        return (f"associativity fails at (a,b,c,d)=({a},{b},{c},{d}): "
-                f"{lhs[a, b, c, d]} != {rhs[a, b, c, d]}")
+    top = int(t.max())
+    if n * top * top >= EXACT_FLOAT_LIMIT:
+        raise TooLargeError(
+            f"associativity check is exact only while n * max(N)^2 < 2^53 = "
+            f"{EXACT_FLOAT_LIMIT}: n = {n}, max(N) = {top}, n * max(N)^2 = {n * top * top}")
+    f = t.astype(np.float64)
+    by_e, by_f = f.reshape(n, n * n), f.reshape(n * n, n)
+    for a in range(n):
+        lhs = (f[a] @ by_e).reshape(n, n, n)  # [b, c, d] = sum_e N^e_{ab} N^d_{ec}
+        rhs = (by_f @ f[a]).reshape(n, n, n)  # [b, c, d] = sum_f N^f_{bc} N^d_{af}
+        if not np.array_equal(lhs, rhs):
+            b, c, d = map(int, np.argwhere(lhs != rhs)[0])
+            return (f"associativity fails at (a,b,c,d)=({a},{b},{c},{d}): "
+                    f"{int(lhs[b, c, d])} != {int(rhs[b, c, d])}")
     return None
 
 

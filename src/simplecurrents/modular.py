@@ -98,12 +98,15 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     from conformal weights mod 1, quantum dimensions from the sine product.
     The result is cached per (algebra, level); it is frozen, and its ring's
     table is read-only, so no caller can change what later callers get.
+    An alcove of more than fusion.MAX_SIMPLES weights raises
+    fusion.TooLargeError before the fold.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     weights = lie.alcove_weights(spec, k)
-    index = {w: i for i, w in enumerate(weights)}
     n = len(weights)
+    fusion.check_size(n, f"{spec.family}{spec.rank} at level {k}")
+    index = {w: i for i, w in enumerate(weights)}
     unit = index[(0,) * spec.rank]
 
     tensor: dict[tuple[int, int], dict[int, int]] = {}

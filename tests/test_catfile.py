@@ -28,6 +28,7 @@ def ising_payload():
 
 # sha256 of the canonical category file of each build, recorded when weight
 # diagrams came from the Freudenthal recursion over every weight in Fractions
+# (A3 k=6 when associativity was still checked by a dense n^4 einsum)
 GOLDEN_SHA256 = {
     ("A", 3, 2): "2d6de9d04ff32a56dde67b44db7c4f85aa9adcad031a011c6579d290b0771ec1",
     ("A", 5, 2): "069c2cdcef633604b99c3a7de16cd6aec24cf314d87a9e843fdb3d4080a1f281",
@@ -38,6 +39,7 @@ GOLDEN_SHA256 = {
     ("A", 3, 4): "4f22add91656741551b7fc442d9c1bf865371e152e8e0c20537defa1eb090d72",
     ("E", 6, 2): "87d3ddb3c1bfa24db8a754b065b379971a4e1aae732e6e3616b8fe929951d307",
     ("E", 8, 2): "e8b1b3a4e1f920f7fc9c36658e9f2c4df02bf48e03ea1dad93c30034bf740b5f",
+    ("A", 3, 6): "659f1d717ea1d3a59c22a98d89b3d4cb3b48e170d77a643a3f8c81eb7d391087",
 }
 
 
@@ -114,6 +116,31 @@ class TestValidation:
         payload["fusion"].append([1, 1, 2, 1])  # eps x eps gains a sigma
         with pytest.raises(CategoryFileError, match="axioms"):
             catfile.load_category(self.write(tmp_path, payload))
+
+    def test_too_many_simples_refused_before_the_ring(self, tmp_path):
+        payload = ising_payload()
+        payload["simples"] = [str(i) for i in range(fusion.MAX_SIMPLES + 1)]
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(self.write(tmp_path, payload))
+        assert str(exc.value) == (
+            f"category file has {fusion.MAX_SIMPLES + 1} simple objects, "
+            f"more than the limit of {fusion.MAX_SIMPLES}")
+
+    def test_fusion_past_the_exact_float_bound_refused(self, tmp_path):
+        # x (x) x = 1 + 2^26 x is a fusion ring, but n * max(N)^2 = 2^53
+        payload = {
+            "schema_version": 1, "source": "external", "simples": ["0", "x"],
+            "dual": [0, 1],
+            "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1],
+                       [1, 1, 0, 1], [1, 1, 1, 2 ** 26]],
+            "twists": [[0, 1], [0, 1]], "qdims": [1.0, 1.0],
+        }
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(self.write(tmp_path, payload))
+        assert str(exc.value) == (
+            "associativity check is exact only while n * max(N)^2 < 2^53 = "
+            "9007199254740992: n = 2, max(N) = 67108864, "
+            "n * max(N)^2 = 9007199254740992")
 
     def test_length_mismatch(self, tmp_path):
         payload = ising_payload()

@@ -79,6 +79,30 @@ class TestGates:
             construct_autoeq(sl4_level2, g, angle(1, 3))
         assert exc.value.admissible == [angle(1, 2)]
 
+    def test_all_autoequivalences_profiles_each_invertible_once(self, example_categories,
+                                                                monkeypatch):
+        for data in example_categories.values():
+            expected = [construct_autoeq(data, g, z)
+                        for g in fusion.invertibles(data.ring)
+                        if currents.exists_autoequivalence(p := currents.profile(data, g))
+                        for z in currents.admissible_zetas(p)]
+            calls = []
+
+            def counted(data, g, profile=currents.profile):
+                calls.append(g)
+                return profile(data, g)
+            monkeypatch.setattr(currents, "profile", counted)
+            assert all_autoequivalences(data) == expected
+            monkeypatch.undo()
+            assert calls == fusion.invertibles(data.ring)
+
+    def test_given_profile_must_be_of_g(self, sl4_level2):
+        ring = sl4_level2.ring
+        p = currents.profile(sl4_level2, ring.index("2L3"))
+        with pytest.raises(ValueError,
+                           match=r"^profile of object 2 \(2L3\) given for object 9$"):
+            construct_autoeq(sl4_level2, ring.index("2L1"), angle(1, 4), p)
+
     def test_coprimality_failure_raises(self, sl6_level2):
         g = sl6_level2.ring.index("2L1")  # A = 2, M = 6, gcd(3, 6) = 3
         with pytest.raises(CoprimalityError,

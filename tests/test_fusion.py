@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
 
-from simplecurrents import fusion
-from simplecurrents.fusion import FusionRing, NotInvertibleError
+from simplecurrents import fusion, lie, modular
+from simplecurrents.fusion import FusionRing, NotInvertibleError, TooLargeError
 
 
 def trivial_ring():
@@ -60,6 +61,114 @@ class TestAxioms:
                                   (1, 0): {1: 1}, (1, 1): {0: 1}})
         msg = fusion.axiom_violation(ring)
         assert msg is not None and "unit" in msg
+
+
+def einsum_violation(ring):
+    """The dense n^4 int64 associativity check that axiom_violation replaced,
+    kept as its oracle: the first failing (a, b, c, d), or None."""
+    t = ring.table
+    lhs = np.einsum("abe,ecd->abcd", t, t)
+    rhs = np.einsum("bcf,afd->abcd", t, t)
+    if (lhs == rhs).all():
+        return None
+    a, b, c, d = map(int, np.argwhere(lhs != rhs)[0])
+    return (f"associativity fails at (a,b,c,d)=({a},{b},{c},{d}): "
+            f"{lhs[a, b, c, d]} != {rhs[a, b, c, d]}")
+
+
+def ring_with_table(ring, table):
+    tensor = {}
+    for (a, b, c), m in zip(np.argwhere(table).tolist(), table[table != 0].tolist()):
+        tensor.setdefault((a, b), {})[c] = m
+    return FusionRing(ring.simples, ring.unit_index, ring.dual, tensor)
+
+
+def rank2_ring(m):
+    # x (x) x = 1 + m x, associative for every m >= 0
+    return FusionRing(simples=("0", "x"), unit_index=0, dual=(0, 1),
+                      tensor={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                              (1, 1): {0: 1, 1: m}})
+
+
+def deligne_product(r, s):
+    """The product ring with simples (x, y) in lexicographic order."""
+    n = r.size * s.size
+    table = np.einsum("ikp,jlq->ijklpq", r.table, s.table).reshape(n, n, n)
+    product = FusionRing([x + y for x in r.simples for y in s.simples],
+                         r.unit_index * s.size + s.unit_index,
+                         [i * s.size + j for i in r.dual for j in s.dual], {})
+    return ring_with_table(product, table)
+
+
+def built_ring(family, rank, level):
+    return modular.build_wzw_data(lie.lie_algebra(family, rank), level).ring
+
+
+# every category of the golden-hash suite small enough for the n^4 oracle
+ORACLE_CATEGORIES = [("A", 3, 2), ("A", 5, 2), ("D", 4, 2), ("A", 7, 1), ("B", 4, 2),
+                     ("C", 3, 3), ("A", 3, 4), ("E", 6, 2), ("E", 8, 2), ("A", 1, 12)]
+
+
+class TestAssociativityOracle:
+    @pytest.mark.parametrize("family,rank,level", ORACLE_CATEGORIES)
+    def test_agrees_with_einsum_on_built_rings(self, family, rank, level):
+        ring = built_ring(family, rank, level)
+        assert fusion.axiom_violation(ring) is None
+        assert einsum_violation(ring) is None
+
+    @pytest.mark.parametrize("make,seed,trials", [
+        (lambda: built_ring("A", 3, 2), 1, 40),
+        (lambda: built_ring("A", 3, 4), 2, 12),
+        (lambda: built_ring("A", 1, 12), 3, 40),
+        (lambda: built_ring("C", 3, 3), 4, 40),
+        # entries up to 2^25 with n * max(N)^2 = 2^52: sums near 2^52 that
+        # differ by 1 must still be told apart
+        (lambda: deligne_product(rank2_ring(2 ** 25), rank2_ring(1)), 5, 40),
+    ])
+    def test_agrees_with_einsum_on_mutated_rings(self, make, seed, trials):
+        # change one or two entries away from the unit, so the unit and
+        # duality laws still hold and associativity decides the verdict
+        ring = make()
+        assert fusion.axiom_violation(ring) is None
+        rng = np.random.default_rng(seed)
+        others = [x for x in range(ring.size) if x != ring.unit_index]
+        failures = 0
+        for _ in range(trials):
+            table = ring.table.copy()
+            for _ in range(rng.integers(1, 3)):
+                a, b, c = rng.choice(others, size=3)
+                table[a, b, c] += 1 if table[a, b, c] == 0 or rng.random() < 0.5 else -1
+            bad = ring_with_table(ring, table)
+            msg = fusion.axiom_violation(bad)
+            assert msg == einsum_violation(bad)
+            failures += msg is not None
+        assert failures == trials
+
+    def test_exact_just_below_the_float_bound(self):
+        # n * max(N)^2 = 2 * (2^26 - 1)^2 < 2^53, and 1 + m^2 is summed exactly
+        ring = rank2_ring(2 ** 26 - 1)
+        assert fusion.axiom_violation(ring) is None
+        assert einsum_violation(ring) is None
+
+    def test_refuses_rings_past_the_float_bound(self):
+        with pytest.raises(TooLargeError) as exc:
+            fusion.axiom_violation(rank2_ring(2 ** 26))
+        assert str(exc.value) == (
+            "associativity check is exact only while n * max(N)^2 < 2^53 = "
+            "9007199254740992: n = 2, max(N) = 67108864, "
+            "n * max(N)^2 = 9007199254740992")
+
+    def test_memory_is_a_few_n_cubed_arrays(self):
+        # the einsum held two n^4 int64 operands, 303.6 MB at n = 66
+        ring = built_ring("A", 2, 10)
+        assert ring.size == 66
+        tracemalloc.start()
+        try:
+            assert fusion.axiom_violation(ring) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestInvertibles:
@@ -155,6 +264,29 @@ class TestRingAutomorphism:
         perm[0], perm[1] = perm[1], perm[0]
         with pytest.raises(ValueError):
             fusion.is_ring_automorphism(ring, tuple(perm))
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("key", [(1, -1, 0), (-1, 1, 1), (1, 1, -2), (1, 1, 2),
+                                     (2, 0, 1)])
+    def test_keys_outside_the_simples_rejected(self, key):
+        a, b, c = key
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (a, b): {c: 1}}
+        with pytest.raises(ValueError) as exc:
+            FusionRing(("0", "x"), 0, (0, 1), tensor)
+        assert str(exc.value) == f"fusion key (a, b, c) = ({a}, {b}, {c}) is outside [0, 2)"
+
+    def test_too_many_simples_refused(self):
+        labels = tuple(str(i) for i in range(fusion.MAX_SIMPLES + 1))
+        with pytest.raises(TooLargeError) as exc:
+            FusionRing(labels, 0, range(len(labels)), {})
+        assert str(exc.value) == (
+            f"fusion ring has {fusion.MAX_SIMPLES + 1} simple objects, "
+            f"more than the limit of {fusion.MAX_SIMPLES}")
+
+    def test_limit_admits_a3_level_8(self):
+        assert len(lie.alcove_weights(lie.lie_algebra("A", 3), 8)) == 165
+        assert fusion.MAX_SIMPLES >= 165
 
 
 class TestReadOnly:

@@ -40,6 +40,17 @@ class TestBuild:
             for a in range(data.size):
                 assert data.twist[data.ring.dual[a]] == data.twist[a]
 
+    def test_alcove_too_large_refused_before_the_fold(self, monkeypatch):
+        def no_fold(*args):
+            raise AssertionError("fold started")
+        monkeypatch.setattr(lie, "fusion_coefficients", no_fold)
+        level = fusion.MAX_SIMPLES  # the A1 alcove at level k has k + 1 weights
+        with pytest.raises(fusion.TooLargeError) as exc:
+            modular.build_wzw_data(lie.lie_algebra("A", 1), level)
+        assert str(exc.value) == (
+            f"A1 at level {level} has {level + 1} simple objects, "
+            f"more than the limit of {fusion.MAX_SIMPLES}")
+
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError):
             modular.build_wzw_data(lie.lie_algebra("A", 3), 0)
