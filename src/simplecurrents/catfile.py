@@ -20,6 +20,7 @@ the same validation as built files.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,22 +56,49 @@ def dumps_canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; bools and floats are refused, not read as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _ints(length: int):
+    return lambda x: isinstance(x, list) and len(x) == length and all(map(_is_int, x))
+
+
+def _is_finite(x) -> bool:
+    # false for NaN, the infinities and ints beyond the float range
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def _entries(payload: dict, key: str, ok, what: str) -> list:
+    """payload[key], a list whose entries all pass ``ok``; else CategoryFileError."""
+    raw = payload[key]
+    if not isinstance(raw, list):
+        raise CategoryFileError(f"{key} must be a list, got {raw!r}")
+    for i, x in enumerate(raw):
+        if not ok(x):
+            raise CategoryFileError(f"{key}[{i}] must be {what}, got {x!r}")
+    return raw
+
+
 def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
     """Validate a payload and rebuild the category data; raises CategoryFileError."""
+    if not isinstance(payload, dict):
+        raise CategoryFileError(
+            f"category payload must be a JSON object, got {type(payload).__name__}")
     try:
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise CategoryFileError(
                 f"unsupported schema_version {payload.get('schema_version')!r}")
         source = payload["source"]
-        simples = [str(s) for s in payload["simples"]]
-        dual = [int(x) for x in payload["dual"]]
-        quads = [[int(x) for x in q] for q in payload["fusion"]]
-        twists_raw = [list(t) for t in payload["twists"]]
-        qdims = [float(x) for x in payload["qdims"]]
-    except CategoryFileError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CategoryFileError(f"malformed category payload: {exc}") from None
+        simples = _entries(payload, "simples", lambda x: isinstance(x, str), "a string")
+        dual = _entries(payload, "dual", _is_int, "an integer")
+        quads = _entries(payload, "fusion", _ints(4), "four integers [a, b, c, N]")
+        twists_raw = _entries(payload, "twists", _ints(2), "two integers [num, den]")
+        qdims = [float(x) for x in
+                 _entries(payload, "qdims", _is_finite, "a finite number")]
+    except KeyError as exc:
+        raise CategoryFileError(f"malformed category payload: missing {exc}") from None
 
     n = len(simples)
     if n == 0:
@@ -88,8 +116,8 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
     for a, b, c, m in quads:
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             raise CategoryFileError(f"fusion quadruple {[a, b, c, m]} out of range")
-        if m < 1:
-            raise CategoryFileError(f"fusion multiplicity must be >= 1, got {m}")
+        if not 1 <= m < 2 ** 63:  # the table holds int64
+            raise CategoryFileError(f"fusion multiplicity must be in [1, 2^63), got {m}")
         fiber = tensor.setdefault((a, b), {})
         if c in fiber:
             raise CategoryFileError(f"duplicate fusion entry for ({a},{b},{c})")

@@ -2,14 +2,17 @@
 
 Everything is driven by the Cartan matrix, so the code is type-agnostic:
 weights are tuples of Dynkin labels (coefficients in the fundamental-weight
-basis), roots are tuples of coordinates in the simple-root basis, and all
-inner products go through the exact rational Gram matrix of the fundamental
-weights, normalised so long roots have squared length 2.
+basis) and roots are tuples of coordinates in the simple-root basis.  The
+bilinear form (long roots of squared length 2) is read from one integer form,
+``_root_form``: the Gram matrix of the fundamental weights and each positive
+root's pairing and norm, all times the lcm s of their denominators.  Exact
+results divide by s once; a quantum dimension's sine arguments are P / s for
+integers P, which Python rounds correctly, so they equal float(Fraction(P, s)).
 
 Weight diagrams come from the Freudenthal recursion run over the dominant
 weights of the module only, in integer arithmetic (Moody-Patera), after
 which each dominant weight's Weyl orbit is expanded into the full diagram.
-The expensive pieces (positive roots, weight diagrams) are memoized per
+The expensive pieces (the root form, weight diagrams) are memoized per
 (algebra, highest weight).  All functions are pure; the caches are plain
 ``functools.lru_cache`` dictionaries, safe under concurrent reads and
 idempotent concurrent inserts.
@@ -56,7 +59,6 @@ class LieAlgebraSpec:
     symmetrizer : diagonal d_i = (alpha_i, alpha_i) / 2
         Equal to 1 on long roots; rational on short roots.
     gram : (Lambda_i, Lambda_j), the inverse Cartan matrix times the symmetrizer.
-    rho_pairing : (Lambda_i, 2 rho) where rho is the Weyl vector.
     dual_coxeter : the dual Coxeter number.
     comark : dual marks of the highest root; a weight lies in the level-k
         alcove iff sum(comark[i] * label[i]) <= k.
@@ -68,7 +70,6 @@ class LieAlgebraSpec:
     cartan: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[Fraction, ...]
     gram: tuple[tuple[Fraction, ...], ...]
-    rho_pairing: tuple[Fraction, ...]
     dual_coxeter: int
     comark: tuple[int, ...]
     theta_labels: tuple[int, ...]
@@ -175,7 +176,6 @@ def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
         for j in range(i):
             if gram[i][j] != gram[j][i]:
                 raise ArithmeticError(f"Gram matrix of {family}{rank} is not symmetric")
-    rho_pairing = [2 * sum(gram[i][j] for j in range(rank)) for i in range(rank)]
 
     # Highest root and dual marks, from the root system itself.
     roots = _positive_root_coords(tuple(tuple(r) for r in cartan))
@@ -199,7 +199,6 @@ def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
         cartan=tuple(tuple(row) for row in cartan),
         symmetrizer=tuple(d),
         gram=tuple(tuple(row) for row in gram),
-        rho_pairing=tuple(rho_pairing),
         dual_coxeter=hv,
         comark=tuple(comark),
         theta_labels=theta_labels,
@@ -241,27 +240,26 @@ def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
     return tuple(sorted(roots, key=lambda c: (sum(c), c)))
 
 
-@dataclass(frozen=True)
-class _RootData:
-    coords: tuple[int, ...]
-    dco: tuple[Fraction, ...]   # d_i * c_i, so (mu, root) = sum(mu_i * dco_i)
-    norm: Fraction              # (root, root)
-
-
 @lru_cache(maxsize=None)
-def _positive_roots(spec: LieAlgebraSpec) -> tuple[_RootData, ...]:
-    out = []
+def _root_form(spec: LieAlgebraSpec):
+    """The bilinear form scaled to integers: the one root datum of the algebra.
+
+    Returns (s, gram, roots).  s is the lcm of the denominators of spec.gram
+    and spec.symmetrizer, gram[i][j] = s (Lambda_i, Lambda_j), and each
+    positive root alpha, in _positive_root_coords order, gives (labels,
+    height, pairing, norm): its Dynkin labels, its height, the pairing with
+    sum(mu_i * pairing_i) = s (mu, alpha), and norm = s (alpha, alpha).
+    """
+    s = math.lcm(*(x.denominator for row in spec.gram for x in row),
+                 *(d.denominator for d in spec.symmetrizer))
+    gram = tuple(tuple(int(x * s) for x in row) for row in spec.gram)
+    roots = []
     for c in _positive_root_coords(spec.cartan):
-        dco = tuple(spec.symmetrizer[i] * c[i] for i in range(spec.rank))
-        labels = [sum(spec.cartan[k][i] * c[i] for i in range(spec.rank))
-                  for k in range(spec.rank)]
-        norm = sum(dco[j] * labels[j] for j in range(spec.rank))
-        out.append(_RootData(coords=c, dco=dco, norm=norm))
-    return tuple(out)
-
-
-def _pair_weight_root(mu: Weight, root: _RootData) -> Fraction:
-    return sum(m * d for m, d in zip(mu, root.dco))
+        labels = tuple(sum(a * x for a, x in zip(row, c)) for row in spec.cartan)
+        pairing = tuple(int(d * s) * x for d, x in zip(spec.symmetrizer, c))
+        roots.append((labels, sum(c), pairing,
+                      sum(p * x for p, x in zip(pairing, labels))))
+    return s, gram, tuple(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +277,9 @@ def inner_product(spec: LieAlgebraSpec, lam, mu) -> Fraction:
     """Bilinear form (lam, mu) via the Gram matrix of fundamental weights."""
     lam = _check_weight(spec, lam)
     mu = _check_weight(spec, mu)
-    total = Fraction(0)
-    for i, li in enumerate(lam):
-        if li:
-            row = spec.gram[i]
-            total += li * sum(mj * row[j] for j, mj in enumerate(mu) if mj)
-    return total
+    s, gram, _ = _root_form(spec)
+    return Fraction(sum(x * sum(g * y for g, y in zip(row, mu))
+                        for x, row in zip(lam, gram)), s)
 
 
 def level(spec: LieAlgebraSpec, lam) -> int:
@@ -328,34 +323,6 @@ def alcove_weights(spec: LieAlgebraSpec, k: int) -> list[Weight]:
 # weight diagrams (Freudenthal recursion on dominant weights, in integers)
 
 
-@lru_cache(maxsize=None)
-def _root_labels(spec: LieAlgebraSpec, coords: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(spec.cartan[k][i] * coords[i] for i in range(spec.rank))
-                 for k in range(spec.rank))
-
-
-@lru_cache(maxsize=None)
-def _integer_forms(spec: LieAlgebraSpec):
-    """The Gram matrix and the positive roots with every inner product scaled
-    by the lcm s of the denominators, so the Freudenthal recursion runs in ints.
-
-    Returns (gram, roots): gram[i][j] = s (Lambda_i, Lambda_j), and for each
-    positive root (labels, height, pairing, norm) with
-    sum(mu_i * pairing_i) = s (mu, alpha) and norm = s (alpha, alpha).
-    """
-    roots = _positive_roots(spec)
-    scale = math.lcm(*(x.denominator for row in spec.gram for x in row),
-                     *(x.denominator for r in roots for x in r.dco))
-    gram = tuple(tuple(int(x * scale) for x in row) for row in spec.gram)
-    out = []
-    for r in roots:
-        labels = _root_labels(spec, r.coords)
-        pairing = tuple(int(x * scale) for x in r.dco)
-        out.append((labels, sum(r.coords), pairing,
-                    sum(p * x for p, x in zip(pairing, labels))))
-    return gram, tuple(out)
-
-
 def _dominant_representative(spec: LieAlgebraSpec, xi: Weight) -> Weight:
     """The dominant weight in the Weyl orbit of xi.
 
@@ -387,7 +354,7 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
     lam = _check_weight(spec, lam)
     if any(x < 0 for x in lam):
         raise ValueError(f"highest weight must be dominant, got {lam}")
-    gram, roots = _integer_forms(spec)
+    _, gram, roots = _root_form(spec)
 
     depth = {lam: 0}  # dominant weights of the module -> height of lam - mu
     stack = [lam]
@@ -453,13 +420,15 @@ def _diagram_dimension(spec: LieAlgebraSpec, lam: Weight) -> int:
 def weyl_dimension(spec: LieAlgebraSpec, lam) -> int:
     """Dimension of the irreducible module, by the Weyl product formula."""
     lam = _check_weight(spec, lam)
-    lam_rho = tuple(x + 1 for x in lam)
-    dim = Fraction(1)
-    for root in _positive_roots(spec):
-        dim *= _pair_weight_root(lam_rho, root) / _pair_weight_root((1,) * spec.rank, root)
-    if dim.denominator != 1:
-        raise ArithmeticError(f"Weyl dimension {dim} of {lam} is not an integer")
-    return int(dim)
+    num = den = 1
+    for _, _, pairing, _ in _root_form(spec)[2]:
+        num *= sum(p * (x + 1) for p, x in zip(pairing, lam))
+        den *= sum(pairing)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(
+            f"Weyl dimension {Fraction(num, den)} of {lam} is not an integer")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +459,7 @@ def _fold_alcove(spec: LieAlgebraSpec, kappa: int, xi: Weight) -> tuple[Weight |
             xi = _reflect_simple(spec, xi, neg)
             sign = -sign
             continue
-        lvl = level(spec, xi)
+        lvl = sum(c * x for c, x in zip(spec.comark, xi))
         if lvl == kappa:
             return None, 0
         if lvl < kappa:
@@ -559,21 +528,19 @@ def fusion_with_second_diagram(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter
 def conformal_weight(spec: LieAlgebraSpec, k: int, lam) -> Fraction:
     """Exact h_lam = (lam, lam + 2 rho) / (2 (k + h_vee)) for an alcove weight."""
     lam = _alcove_weight(spec, k, lam)
-    quad = inner_product(spec, lam, lam) + sum(
-        x * r for x, r in zip(lam, spec.rho_pairing))
-    return quad / (2 * (k + spec.dual_coxeter))
+    return inner_product(spec, lam, [x + 2 for x in lam]) / (2 * (k + spec.dual_coxeter))
 
 
 def quantum_dimension(spec: LieAlgebraSpec, k: int, lam) -> float:
     """Quantum dimension as a sine product over positive roots (float)."""
     lam = _alcove_weight(spec, k, lam)
     kappa = k + spec.dual_coxeter
-    lam_rho = tuple(x + 1 for x in lam)
-    rho = (1,) * spec.rank
+    s, _, roots = _root_form(spec)
     dim = 1.0
-    for root in _positive_roots(spec):
-        dim *= (math.sin(math.pi * float(_pair_weight_root(lam_rho, root)) / kappa)
-                / math.sin(math.pi * float(_pair_weight_root(rho, root)) / kappa))
+    for _, _, pairing, _ in roots:
+        top = sum(p * (x + 1) for p, x in zip(pairing, lam)) / s  # (lam + rho, alpha)
+        bottom = sum(pairing) / s                                  # (rho, alpha)
+        dim *= math.sin(math.pi * top / kappa) / math.sin(math.pi * bottom / kappa)
     return dim
 
 

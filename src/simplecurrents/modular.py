@@ -65,7 +65,7 @@ def validate(data: ModularCategoryData) -> None:
     u = ring.unit_index
     if not data.twist[u].is_zero:
         raise InconsistentDataError(f"unit twist must vanish, got {data.twist[u]}")
-    if abs(data.qdim[u] - 1.0) > QDIM_TOL:
+    if not abs(data.qdim[u] - 1.0) <= QDIM_TOL:  # NaN fails too
         raise InconsistentDataError(f"unit quantum dimension must be 1, got {data.qdim[u]}")
     for a in range(n):
         if data.twist[ring.dual[a]] != data.twist[a]:
@@ -79,7 +79,7 @@ def qdim_sign(data: ModularCategoryData, g: int) -> int:
     """sign(d_g) of an invertible g; InconsistentDataError unless |d_g| = 1."""
     fusion.fuse_permutation(data.ring, g)
     d = data.qdim[g]
-    if abs(abs(d) - 1.0) > QDIM_TOL:
+    if not abs(abs(d) - 1.0) <= QDIM_TOL:  # NaN fails too
         raise InconsistentDataError(
             f"invertible {data.ring.simples[g]} has |qdim| = {abs(d)}, expected 1")
     return 1 if d > 0 else -1

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from simplecurrents import catfile, currents, fusion, groups, lie, modular
+from simplecurrents import catfile, cli, currents, fusion, groups, lie, modular
 from simplecurrents.angles import ZERO_ANGLE, angle
 from simplecurrents.catfile import CategoryFileError
 
@@ -24,6 +24,60 @@ def ising_payload():
         "twists": [[0, 1], [1, 2], [1, 16]],
         "qdims": [1.0, 1.0, 1.4142135623730951],
     }
+
+
+def semion_payload():
+    """The two-object Z2 category with twist 1/4 on s: q = 1/4 when d_s = 1."""
+    return {
+        "schema_version": 1, "source": "external", "simples": ["0", "s"],
+        "dual": [0, 1],
+        "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+        "twists": [[0, 1], [1, 4]], "qdims": [1.0, 1.0],
+    }
+
+
+def edited(key, index, value):
+    payload = semion_payload()
+    if index is None:
+        payload[key] = value
+    else:
+        payload[key][index] = value
+    return payload
+
+
+# each payload was loaded (or crashed outside CategoryFileError) before
+# numbers and shapes were checked
+MALFORMED = [pytest.param(payload, message, id=name) for name, payload, message in [
+    ("nan-qdim", edited("qdims", 1, float("nan")),
+     "qdims[1] must be a finite number, got nan"),
+    ("nan-unit-qdim", edited("qdims", 0, float("nan")),
+     "qdims[0] must be a finite number, got nan"),
+    ("inf-qdim", edited("qdims", 1, float("inf")),
+     "qdims[1] must be a finite number, got inf"),
+    ("string-qdim", edited("qdims", 1, "1"), "qdims[1] must be a finite number, got '1'"),
+    ("huge-qdim", edited("qdims", 1, 2 ** 1024),
+     f"qdims[1] must be a finite number, got {2 ** 1024}"),
+    ("float-multiplicity", edited("fusion", 3, [1, 1, 0, 1.9]),
+     "fusion[3] must be four integers [a, b, c, N], got [1, 1, 0, 1.9]"),
+    ("float-index", edited("fusion", 3, [1, 1.5, 0, 1]),
+     "fusion[3] must be four integers [a, b, c, N], got [1, 1.5, 0, 1]"),
+    ("bool-multiplicity", edited("fusion", 0, [0, 0, 0, True]),
+     "fusion[0] must be four integers [a, b, c, N], got [0, 0, 0, True]"),
+    ("short-quad", edited("fusion", 3, [1, 1, 0]),
+     "fusion[3] must be four integers [a, b, c, N], got [1, 1, 0]"),
+    ("int64-overflow", edited("fusion", 3, [1, 1, 0, 2 ** 70]),
+     f"fusion multiplicity must be in [1, 2^63), got {2 ** 70}"),
+    ("float-twist", edited("twists", 1, [0.25, 1]),
+     "twists[1] must be two integers [num, den], got [0.25, 1]"),
+    ("string-twist", edited("twists", 1, "1/4"),
+     "twists[1] must be two integers [num, den], got '1/4'"),
+    ("long-twist", edited("twists", 1, [1, 4, 0]),
+     "twists[1] must be two integers [num, den], got [1, 4, 0]"),
+    ("float-dual", edited("dual", 1, 1.0), "dual[1] must be an integer, got 1.0"),
+    ("int-simple", edited("simples", 0, 0), "simples[0] must be a string, got 0"),
+    ("string-simples", edited("simples", None, "0s"), "simples must be a list, got '0s'"),
+    ("list-payload", [semion_payload()], "category payload must be a JSON object, got list"),
+]]
 
 
 # sha256 of the canonical category file of each build, recorded when weight
@@ -163,6 +217,23 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CategoryFileError):
             catfile.load_category(tmp_path / "absent.json")
+
+    def test_semion_loads_with_q_one_quarter(self, tmp_path):
+        data, _ = catfile.load_category(self.write(tmp_path, semion_payload()))
+        assert currents.profile(data, 1).q == angle(1, 4)
+
+    @pytest.mark.parametrize("payload,message", MALFORMED)
+    def test_malformed_numbers_refused(self, tmp_path, payload, message):
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(self.write(tmp_path, payload))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("payload,message", MALFORMED)
+    def test_load_check_exits_2_on_malformed_numbers(self, tmp_path, capsys,
+                                                     payload, message):
+        assert cli.main(["load-check", str(self.write(tmp_path, payload))]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestExternalIsing:

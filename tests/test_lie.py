@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ def char_multiply_decompose(spec, lam, mu):
             prod[tuple(a + b for a, b in zip(w1, w2))] += m1 * m2
 
     def height(w):
-        return sum(x * r for x, r in zip(w, spec.rho_pairing))
+        return lie.inner_product(spec, w, (1,) * spec.rank)
 
     out = Counter()
     while prod:
@@ -35,6 +36,55 @@ def char_multiply_decompose(spec, lam, mu):
     return out
 
 
+# Reference formulas in Fractions, read from the spec's rational Gram matrix
+# and symmetrizer and from the root coordinates, never from lie._root_form.
+
+
+def ref_inner_product(spec, lam, mu):
+    return sum(x * y * spec.gram[i][j]
+               for i, x in enumerate(lam) for j, y in enumerate(mu))
+
+
+def ref_roots(spec):
+    """(labels, height, dco, norm) per positive root: (mu, alpha) = sum(mu_i dco_i)."""
+    out = []
+    for c in lie._positive_root_coords(spec.cartan):
+        labels = tuple(sum(spec.cartan[k][i] * c[i] for i in range(spec.rank))
+                       for k in range(spec.rank))
+        dco = tuple(d * x for d, x in zip(spec.symmetrizer, c))
+        out.append((labels, sum(c), dco, sum(d * x for d, x in zip(dco, labels))))
+    return out
+
+
+def ref_pair(mu, dco):
+    return sum((m * d for m, d in zip(mu, dco)), Fraction(0))
+
+
+def ref_weyl_dimension(spec, lam):
+    lam_rho = tuple(x + 1 for x in lam)
+    dim = Fraction(1)
+    for _, _, dco, _ in ref_roots(spec):
+        dim *= ref_pair(lam_rho, dco) / ref_pair((1,) * spec.rank, dco)
+    assert dim.denominator == 1
+    return int(dim)
+
+
+def ref_conformal_weight(spec, k, lam):
+    rho_pairing = [2 * sum(row) for row in spec.gram]  # (Lambda_i, 2 rho)
+    quad = ref_inner_product(spec, lam, lam) + sum(x * r for x, r in zip(lam, rho_pairing))
+    return quad / (2 * (k + spec.dual_coxeter))
+
+
+def ref_quantum_dimension(spec, k, lam):
+    kappa = k + spec.dual_coxeter
+    lam_rho = tuple(x + 1 for x in lam)
+    dim = 1.0
+    for _, _, dco, _ in ref_roots(spec):
+        dim *= (math.sin(math.pi * float(ref_pair(lam_rho, dco)) / kappa)
+                / math.sin(math.pi * float(ref_pair((1,) * spec.rank, dco)) / kappa))
+    return dim
+
+
 def freudenthal_reference(spec, lam):
     """Reference weight diagram: the Freudenthal recursion over every weight,
     in Fractions, working downward from lam one simple-root step at a time.
@@ -44,10 +94,9 @@ def freudenthal_reference(spec, lam):
     exact for non-weight candidates as well.
     """
     rank = spec.rank
-    root_data = [(r, lie._root_labels(spec, r.coords), sum(r.coords))
-                 for r in lie._positive_roots(spec)]
+    root_data = ref_roots(spec)
     lam_rho = tuple(x + 1 for x in lam)
-    lam_rho_norm = lie.inner_product(spec, lam_rho, lam_rho)
+    lam_rho_norm = ref_inner_product(spec, lam_rho, lam_rho)
     mults = {lam: 1}
     frontier = [lam]
     depth = 0
@@ -58,16 +107,16 @@ def freudenthal_reference(spec, lam):
         frontier = []
         for mu in sorted(candidates - mults.keys()):
             num = Fraction(0)
-            for root, labels, height in root_data:
-                base = lie._pair_weight_root(mu, root)
+            for labels, height, dco, norm in root_data:
+                base = ref_pair(mu, dco)
                 for j in range(1, depth // height + 1):
                     m_up = mults.get(tuple(m + j * r for m, r in zip(mu, labels)))
                     if m_up:
-                        num += (base + j * root.norm) * m_up
+                        num += (base + j * norm) * m_up
             if num == 0:
                 continue
             mu_rho = tuple(x + 1 for x in mu)
-            m = 2 * num / (lam_rho_norm - lie.inner_product(spec, mu_rho, mu_rho))
+            m = 2 * num / (lam_rho_norm - ref_inner_product(spec, mu_rho, mu_rho))
             assert m.denominator == 1 and m > 0
             mults[mu] = int(m)
             frontier.append(mu)
@@ -105,11 +154,33 @@ class TestSpecConstruction:
                 assert all(spec.cartan[i][j] <= 0 for j in range(spec.rank) if j != i)
 
     def test_positive_root_counts(self):
-        assert len(lie._positive_roots(A3)) == 6
-        assert len(lie._positive_roots(A5)) == 15
-        assert len(lie._positive_roots(D4)) == 12
-        assert len(lie._positive_roots(lie.lie_algebra("G", 2))) == 6
-        assert len(lie._positive_roots(lie.lie_algebra("F", 4))) == 24
+        assert len(lie._positive_root_coords(A3.cartan)) == 6
+        assert len(lie._positive_root_coords(A5.cartan)) == 15
+        assert len(lie._positive_root_coords(D4.cartan)) == 12
+        assert len(lie._positive_root_coords(lie.lie_algebra("G", 2).cartan)) == 6
+        assert len(lie._positive_root_coords(lie.lie_algebra("F", 4).cartan)) == 24
+
+
+# 16 algebras from A1 to E8, 259 alcove weights in all
+ORACLE_CATEGORIES = [
+    ("A", 1, 20), ("A", 2, 6), ("A", 3, 4), ("A", 4, 3), ("A", 5, 2), ("A", 6, 2),
+    ("A", 7, 1), ("B", 3, 3), ("B", 4, 2), ("C", 4, 2), ("D", 5, 2), ("E", 6, 2),
+    ("E", 7, 2), ("E", 8, 2), ("F", 4, 2), ("G", 2, 5),
+]
+
+
+@pytest.mark.parametrize("family,rank,k", ORACLE_CATEGORIES)
+def test_constants_equal_fraction_reference(family, rank, k):
+    # equal floats bit for bit: P / s and float(Fraction(P, s)) round the same rational
+    spec = lie.lie_algebra(family, rank)
+    ws = lie.alcove_weights(spec, k)
+    for lam, other in zip(ws, reversed(ws)):
+        assert lie.weyl_dimension(spec, lam) == ref_weyl_dimension(spec, lam)
+        assert lie.conformal_weight(spec, k, lam) == ref_conformal_weight(spec, k, lam)
+        got = lie.quantum_dimension(spec, k, lam)
+        assert got.hex() == ref_quantum_dimension(spec, k, lam).hex()
+        for mu in (lam, other):
+            assert lie.inner_product(spec, lam, mu) == ref_inner_product(spec, lam, mu)
 
 
 class TestInnerProduct:

@@ -169,6 +169,22 @@ class TestValidation:
         with pytest.raises(InconsistentDataError):
             modular.validate(bad)
 
+    @pytest.mark.parametrize("qdim,message", [
+        ((float("nan"), 1.0), "unit quantum dimension must be 1, got nan"),
+        ((1.0, float("nan")), "invertible g has |qdim| = nan, expected 1"),
+    ])
+    def test_validate_rejects_nan_qdim(self, qdim, message):
+        # abs(nan - 1) > tol is False, so a NaN used to pass both checks
+        from simplecurrents.fusion import FusionRing
+        ring = FusionRing(simples=("0", "g"), unit_index=0, dual=(0, 1),
+                          tensor={(0, 0): {0: 1}, (0, 1): {1: 1},
+                                  (1, 0): {1: 1}, (1, 1): {0: 1}})
+        data = modular.ModularCategoryData(
+            ring=ring, twist=(ZERO_ANGLE, angle(1, 4)), qdim=qdim)
+        with pytest.raises(InconsistentDataError) as exc:
+            modular.validate(data)
+        assert str(exc.value) == message
+
     def test_grading_check_rejects_symmetric_centre(self):
         # a Z2 ring with trivial twists has an unfaithful grading
         from simplecurrents.fusion import FusionRing
