@@ -80,7 +80,12 @@ def _cached_build(family: str, rank: int, level: int, cache_dir: str | None):
     if cache_dir:
         cache = Path(cache_dir) / f"{family.upper()}{rank}-{level}.json"
         if cache.exists():
-            data, _ = catfile.load_category(cache)
+            data, source = catfile.load_category(cache)
+            request = {"family": family.upper(), "rank": rank, "level": level}
+            if source != request:
+                raise CategoryFileError(
+                    f"cached file {cache} has source {json.dumps(source, sort_keys=True)}, "
+                    f"not the requested {json.dumps(request, sort_keys=True)}")
             return data
         data = catfile.build_category_file(family, rank, level, out_path=cache)
         return data

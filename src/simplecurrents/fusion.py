@@ -52,7 +52,9 @@ class FusionRing:
     read-only int64 ``table`` T[a, b, c] = N^c_{ab}, so every query is read-only
     and thread-safe.  Rings are equal when labels, unit, dual and table are.
     More than MAX_SIMPLES simples raise TooLargeError, and a key a, b or c
-    outside [0, n) raises ValueError, before the table is allocated or filled.
+    outside [0, n) or a multiplicity that is not an integer (a bool or a float
+    included) raises ValueError, before the table is allocated or filled.
+    Negative multiplicities are kept, for axiom_violation to report.
     """
 
     simples: tuple[str, ...]
@@ -69,6 +71,9 @@ class FusionRing:
                 if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
                     raise ValueError(f"fusion key (a, b, c) = ({a}, {b}, {c}) is outside "
                                      f"[0, {n})")
+                if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                    raise ValueError(f"fusion multiplicity at (a, b, c) = ({a}, {b}, {c}) "
+                                     f"must be an integer, got {m!r}")
                 table[a, b, c] = m
         table.setflags(write=False)
         object.__setattr__(self, "simples", tuple(simples))

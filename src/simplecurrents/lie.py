@@ -16,6 +16,13 @@ The expensive pieces (the root form, weight diagrams) are memoized per
 (algebra, highest weight).  All functions are pure; the caches are plain
 ``functools.lru_cache`` dictionaries, safe under concurrent reads and
 idempotent concurrent inserts.
+
+One loop, ``_chamber``, reflects in the first negative label until none is
+left.  On the Cartan columns it finds a Weyl orbit's dominant weight; on the
+extended Cartan columns, in affine labels (lambda_1, ..., lambda_r, lambda_0
+= k + h_vee - level), it is the Kac-Walton fold into the level-k alcove, and
+a point left on a wall (a zero label) cancels.  Simple currents act on the
+same affine labels, as symmetries of the extended Dynkin diagram.
 """
 
 from __future__ import annotations
@@ -25,21 +32,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 from types import MappingProxyType
 
 Weight = tuple[int, ...]
-
-_DUAL_COXETER = {
-    "A": lambda r: r + 1,
-    "B": lambda r: 2 * r - 1,
-    "C": lambda r: r + 1,
-    "D": lambda r: 2 * r - 2,
-    "E": {6: 12, 7: 18, 8: 30}.get,
-    "F": {4: 9}.get,
-    "G": {2: 4}.get,
-}
-
-_FOLD_CAP = 100_000  # safety bound on reflection loops
 
 
 class OutOfAlcoveError(ValueError):
@@ -59,7 +55,7 @@ class LieAlgebraSpec:
     symmetrizer : diagonal d_i = (alpha_i, alpha_i) / 2
         Equal to 1 on long roots; rational on short roots.
     gram : (Lambda_i, Lambda_j), the inverse Cartan matrix times the symmetrizer.
-    dual_coxeter : the dual Coxeter number.
+    dual_coxeter : the dual Coxeter number, 1 + sum(comark).
     comark : dual marks of the highest root; a weight lies in the level-k
         alcove iff sum(comark[i] * label[i]) <= k.
     theta_labels : Dynkin labels of the highest root.
@@ -95,9 +91,12 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
         a[j][i] = aji
 
     if family in ("A", "B", "C"):
+        if family == "B" and rank < 2:
+            # so(3)'s one root is short; no rank-1 Cartan matrix shows it
+            raise ValueError("family B needs rank >= 2")
         for i in range(rank - 1):
             bond(i, i + 1)
-        if family == "B" and rank >= 2:
+        if family == "B":
             bond(rank - 2, rank - 1, -1, -2)
         if family == "C" and rank >= 2:
             bond(rank - 2, rank - 1, -2, -1)
@@ -129,19 +128,20 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _symmetrizer(family: str, rank: int) -> list[Fraction]:
-    one = Fraction(1)
-    d = [one] * rank
-    if family == "B":
-        d[rank - 1] = Fraction(1, 2)
-    elif family == "C":
-        d = [Fraction(1, 2)] * rank
-        d[rank - 1] = one
-    elif family == "F":
-        d[2] = d[3] = Fraction(1, 2)
-    elif family == "G":
-        d[1] = Fraction(1, 3)
-    return d
+def _symmetrizer(cartan: list[list[int]]) -> list[Fraction]:
+    """d_i = (alpha_i, alpha_i) / 2, from d_i a_ij = d_j a_ji along the Dynkin
+    tree, scaled to 1 on the long roots; diag(d) A is then symmetric."""
+    d = [None] * len(cartan)
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, aij in enumerate(cartan[i]):
+            if aij and d[j] is None:
+                d[j] = d[i] * aij / cartan[j][i]
+                stack.append(j)
+    longest = max(d)
+    return [x / longest for x in d]
 
 
 def _invert_exact(m: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -168,28 +168,15 @@ def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     cartan = _cartan_matrix(family, rank)
-    d = _symmetrizer(family, rank)
+    d = _symmetrizer(cartan)
     # (Lambda_i, Lambda_j): G A = diag(d), hence G = diag(d) A^{-1}.
     ainv = _invert_exact([[Fraction(x) for x in row] for row in cartan])
     gram = [[d[i] * ainv[i][j] for j in range(rank)] for i in range(rank)]
-    for i in range(rank):
-        for j in range(i):
-            if gram[i][j] != gram[j][i]:
-                raise ArithmeticError(f"Gram matrix of {family}{rank} is not symmetric")
 
     # Highest root and dual marks, from the root system itself.
     roots = _positive_root_coords(tuple(tuple(r) for r in cartan))
     theta = max(roots, key=sum)
-    comark = []
-    for i in range(rank):
-        cm = theta[i] * d[i]
-        if cm.denominator != 1:
-            raise ArithmeticError(f"dual mark {cm} of {family}{rank} is not an integer")
-        comark.append(int(cm))
-    hv = 1 + sum(comark)
-    table = _DUAL_COXETER[family](rank)
-    if hv != table:
-        raise ArithmeticError(f"dual Coxeter mismatch for {family}{rank}: {hv} != {table}")
+    comark = [int(t * x) for t, x in zip(theta, d)]
     theta_labels = tuple(sum(cartan[k][i] * theta[i] for i in range(rank))
                          for k in range(rank))
 
@@ -199,7 +186,7 @@ def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
         cartan=tuple(tuple(row) for row in cartan),
         symmetrizer=tuple(d),
         gram=tuple(tuple(row) for row in gram),
-        dual_coxeter=hv,
+        dual_coxeter=1 + sum(comark),
         comark=tuple(comark),
         theta_labels=theta_labels,
     )
@@ -320,20 +307,43 @@ def alcove_weights(spec: LieAlgebraSpec, k: int) -> list[Weight]:
 
 
 # ---------------------------------------------------------------------------
-# weight diagrams (Freudenthal recursion on dominant weights, in integers)
+# the chamber fold: one reflection loop for the Weyl chamber and the alcove
 
 
-def _dominant_representative(spec: LieAlgebraSpec, xi: Weight) -> Weight:
-    """The dominant weight in the Weyl orbit of xi.
+@lru_cache(maxsize=None)
+def _columns(spec: LieAlgebraSpec) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
+    """The labels of the simple roots: (Cartan columns, extended Cartan columns).
 
-    Each reflection in a negative label raises xi within its finite orbit,
-    so the loop ends.
+    An extended column is over (lambda_1, ..., lambda_r, lambda_0): alpha_i
+    gains the affine label -sum_k comark_k a_ki, and alpha_0 = delta - theta,
+    last, has labels -theta and affine label 2.
     """
+    finite = tuple(tuple(row[i] for row in spec.cartan) for i in range(spec.rank))
+    extended = tuple((*col, -sum(map(mul, spec.comark, col))) for col in finite)
+    return finite, extended + ((*(-t for t in spec.theta_labels), 2),)
+
+
+def _chamber(columns, xi: Weight) -> tuple[Weight, int]:
+    """Reflect xi in its first negative label until none is left; return the
+    point and the parity, (-1) to the number of reflections.
+
+    Each reflection removes one positive root from those that pair negatively
+    with xi, a finite set (for the extended columns, at a positive level), so
+    the loop ends.
+    """
+    parity = 1
     while True:
-        neg = next((i for i, x in enumerate(xi) if x < 0), None)
-        if neg is None:
-            return xi
-        xi = _reflect_simple(spec, xi, neg)
+        for i, x in enumerate(xi):
+            if x < 0:
+                break
+        else:
+            return xi, parity
+        xi = tuple([a - x * c for a, c in zip(xi, columns[i])])
+        parity = -parity
+
+
+# ---------------------------------------------------------------------------
+# weight diagrams (Freudenthal recursion on dominant weights, in integers)
 
 
 @lru_cache(maxsize=None)
@@ -355,6 +365,7 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
     if any(x < 0 for x in lam):
         raise ValueError(f"highest weight must be dominant, got {lam}")
     _, gram, roots = _root_form(spec)
+    finite, _ = _columns(spec)
 
     depth = {lam: 0}  # dominant weights of the module -> height of lam - mu
     stack = [lam]
@@ -379,7 +390,7 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
             nu, j = mu, 1
             while True:
                 nu = tuple(a + b for a, b in zip(nu, labels))
-                m_up = dominant.get(_dominant_representative(spec, nu))
+                m_up = dominant.get(_chamber(finite, nu)[0])
                 if m_up is None:
                     break
                 num += (base + j * norm) * m_up
@@ -401,7 +412,7 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
             for w in layer:
                 for i, x in enumerate(w):
                     if x > 0:
-                        v = _reflect_simple(spec, w, i)
+                        v = tuple([a - x * c for a, c in zip(w, finite[i])])
                         if v not in orbit:
                             orbit[v] = orbit[w] + x
                             nxt.append(v)
@@ -433,41 +444,6 @@ def weyl_dimension(spec: LieAlgebraSpec, lam) -> int:
 
 # ---------------------------------------------------------------------------
 # tensor products: classical (Racah-Speiser) and level-k fused (Kac-Walton)
-
-
-def _reflect_simple(spec: LieAlgebraSpec, xi: Weight, i: int) -> Weight:
-    c = xi[i]
-    return tuple(xi[k] - c * spec.cartan[k][i] for k in range(spec.rank))
-
-
-def _fold_alcove(spec: LieAlgebraSpec, kappa: int, xi: Weight) -> tuple[Weight | None, int]:
-    """Fold a rho-shifted weight into the interior of the level alcove.
-
-    Alternates finite reflections with the affine reflection about the wall
-    (xi, theta) = kappa; weights landing on any wall cancel.
-    """
-    sign = 1
-    for _ in range(_FOLD_CAP):
-        neg = None
-        for i, x in enumerate(xi):
-            if x == 0:
-                return None, 0
-            if x < 0:
-                neg = i
-                break
-        if neg is not None:
-            xi = _reflect_simple(spec, xi, neg)
-            sign = -sign
-            continue
-        lvl = sum(c * x for c, x in zip(spec.comark, xi))
-        if lvl == kappa:
-            return None, 0
-        if lvl < kappa:
-            return xi, sign
-        c = lvl - kappa
-        xi = tuple(x - c * t for x, t in zip(xi, spec.theta_labels))
-        sign = -sign
-    raise RuntimeError("alcove folding failed to terminate")
 
 
 def tensor_decompose(spec: LieAlgebraSpec, lam, mu) -> Counter:
@@ -507,14 +483,16 @@ def fusion_with_second_diagram(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter
     by lam + rho; no argument reordering."""
     lam = _alcove_weight(spec, k, lam)
     mu = _alcove_weight(spec, k, mu)
-    kappa = k + spec.dual_coxeter
+    _, extended = _columns(spec)
+    comark = spec.comark
     shift = tuple(x + 1 for x in lam)
+    top = k + spec.dual_coxeter - sum(map(mul, comark, shift))  # lambda_0 of lam + rho
     out: Counter = Counter()
     for nu, m in weight_multiplicities(spec, mu).items():
-        xi = tuple(s + n for s, n in zip(shift, nu))
-        folded, sign = _fold_alcove(spec, kappa, xi)
-        if sign:
-            out[tuple(x - 1 for x in folded)] += sign * m
+        point, parity = _chamber(extended, (*map(add, shift, nu),
+                                            top - sum(map(mul, comark, nu))))
+        if 0 not in point:
+            out[tuple(x - 1 for x in point[:-1])] += parity * m
     bad = {w: v for w, v in out.items() if v < 0}
     if bad:
         raise ArithmeticError(f"negative fusion multiplicity at {bad}")

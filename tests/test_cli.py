@@ -68,6 +68,22 @@ class TestBuildAndLoad:
                          "--cache-dir", str(cache)]) == 0
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_cache_dir_refuses_a_file_of_another_category(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stale = cache / "A5-2.json"
+        assert cli.main(["build", "A", "3", "2", "-o", str(stale)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert cli.main(["build", "A", "5", "2", "-o", str(out),
+                         "--cache-dir", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f'error: cached file {stale} has source {{"family": "A", "level": 2, '
+            f'"rank": 3}}, not the requested {{"family": "A", "level": 2, "rank": 5}}\n')
+        assert not out.exists()
+
     def test_load_check_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")

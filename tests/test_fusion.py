@@ -276,6 +276,20 @@ class TestConstruction:
             FusionRing(("0", "x"), 0, (0, 1), tensor)
         assert str(exc.value) == f"fusion key (a, b, c) = ({a}, {b}, {c}) is outside [0, 2)"
 
+    @pytest.mark.parametrize("m", [1.9, True, 1.0, "1", None])
+    def test_non_integer_multiplicity_refused(self, m):
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: m}}
+        with pytest.raises(ValueError) as exc:
+            FusionRing(("0", "x"), 0, (0, 1), tensor)
+        assert str(exc.value) == (
+            f"fusion multiplicity at (a, b, c) = (1, 1, 0) must be an integer, got {m!r}")
+
+    def test_negative_multiplicity_kept_for_the_axiom_check(self):
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}}
+        ring = FusionRing(("0", "x"), 0, (0, 1), tensor)
+        assert ring.table[1, 1, 0] == -1
+        assert fusion.axiom_violation(ring) == "negative multiplicity N^0_{1,1}"
+
     def test_too_many_simples_refused(self):
         labels = tuple(str(i) for i in range(fusion.MAX_SIMPLES + 1))
         with pytest.raises(TooLargeError) as exc:

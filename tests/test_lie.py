@@ -1,11 +1,12 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from simplecurrents import lie
-from simplecurrents.lie import OutOfAlcoveError
+from simplecurrents.lie import LieAlgebraSpec, OutOfAlcoveError, Weight
 
 A3 = lie.lie_algebra("A", 3)
 A5 = lie.lie_algebra("A", 5)
@@ -123,6 +124,142 @@ def freudenthal_reference(spec, lam):
     return mults
 
 
+# The two folds and the per-type tables that lie replaced, kept unchanged as
+# references for the one chamber fold and the derived symmetrizer.
+
+_FOLD_CAP = 100_000  # safety bound on reflection loops
+
+_DUAL_COXETER = {
+    "A": lambda r: r + 1,
+    "B": lambda r: 2 * r - 1,
+    "C": lambda r: r + 1,
+    "D": lambda r: 2 * r - 2,
+    "E": {6: 12, 7: 18, 8: 30}.get,
+    "F": {4: 9}.get,
+    "G": {2: 4}.get,
+}
+
+
+def _symmetrizer(family: str, rank: int) -> list[Fraction]:
+    one = Fraction(1)
+    d = [one] * rank
+    if family == "B":
+        d[rank - 1] = Fraction(1, 2)
+    elif family == "C":
+        d = [Fraction(1, 2)] * rank
+        d[rank - 1] = one
+    elif family == "F":
+        d[2] = d[3] = Fraction(1, 2)
+    elif family == "G":
+        d[1] = Fraction(1, 3)
+    return d
+
+
+def _reflect_simple(spec: LieAlgebraSpec, xi: Weight, i: int) -> Weight:
+    c = xi[i]
+    return tuple(xi[k] - c * spec.cartan[k][i] for k in range(spec.rank))
+
+
+def _dominant_representative(spec: LieAlgebraSpec, xi: Weight) -> Weight:
+    """The dominant weight in the Weyl orbit of xi.
+
+    Each reflection in a negative label raises xi within its finite orbit,
+    so the loop ends.
+    """
+    while True:
+        neg = next((i for i, x in enumerate(xi) if x < 0), None)
+        if neg is None:
+            return xi
+        xi = _reflect_simple(spec, xi, neg)
+
+
+def _fold_alcove(spec: LieAlgebraSpec, kappa: int, xi: Weight) -> tuple[Weight | None, int]:
+    """Fold a rho-shifted weight into the interior of the level alcove.
+
+    Alternates finite reflections with the affine reflection about the wall
+    (xi, theta) = kappa; weights landing on any wall cancel.
+    """
+    sign = 1
+    for _ in range(_FOLD_CAP):
+        neg = None
+        for i, x in enumerate(xi):
+            if x == 0:
+                return None, 0
+            if x < 0:
+                neg = i
+                break
+        if neg is not None:
+            xi = _reflect_simple(spec, xi, neg)
+            sign = -sign
+            continue
+        lvl = sum(c * x for c, x in zip(spec.comark, xi))
+        if lvl == kappa:
+            return None, 0
+        if lvl < kappa:
+            return xi, sign
+        c = lvl - kappa
+        xi = tuple(x - c * t for x, t in zip(xi, spec.theta_labels))
+        sign = -sign
+    raise RuntimeError("alcove folding failed to terminate")
+
+
+TABLE_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 7)]
+               + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(4, 9)]
+               + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+FOLD_TYPES = [("A", r) for r in range(1, 9)] + [
+    ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8),
+    ("F", 4), ("G", 2)]
+
+
+def new_fold(spec, kappa, xi):
+    """The alcove fold through lie: (folded point, sign), or (None, 0) on a wall."""
+    _, extended = lie._columns(spec)
+    point, parity = lie._chamber(extended, (*xi, kappa - lie.level(spec, xi)))
+    return (None, 0) if 0 in point else (point[:-1], parity)
+
+
+@pytest.mark.parametrize("family,rank", FOLD_TYPES)
+def test_chamber_fold_equals_the_two_old_folds(family, rank):
+    spec = lie.lie_algebra(family, rank)
+    finite, _ = lie._columns(spec)
+    rng = random.Random(f"{family}{rank}")
+    cancelled = 0
+    for _ in range(2000):
+        xi = tuple(rng.randint(-15, 15) for _ in range(rank))
+        kappa = spec.dual_coxeter + rng.randint(0, 12)
+        got = new_fold(spec, kappa, xi)
+        assert got == _fold_alcove(spec, kappa, xi), (xi, kappa)
+        cancelled += got[1] == 0
+        assert lie._chamber(finite, xi)[0] == _dominant_representative(spec, xi), xi
+    assert 0 < cancelled < 2000  # both outcomes met
+
+
+@pytest.mark.parametrize("family,rank", TABLE_TYPES)
+def test_derived_constants_equal_the_old_tables(family, rank):
+    spec = lie.lie_algebra(family, rank)
+    assert list(spec.symmetrizer) == _symmetrizer(family, rank)
+    assert spec.dual_coxeter == _DUAL_COXETER[family](rank)
+    theta = max(lie._positive_root_coords(spec.cartan), key=sum)
+    assert spec.comark == tuple(t * d for t, d in zip(theta, spec.symmetrizer))
+
+
+@pytest.mark.parametrize("family,rank", TABLE_TYPES)
+def test_extended_cartan_matrix(family, rank):
+    spec = lie.lie_algebra(family, rank)
+    finite, extended = lie._columns(spec)
+    assert finite == tuple(zip(*spec.cartan))
+    assert [col[:rank] for col in extended[:rank]] == list(finite)
+    theta = max(lie._positive_root_coords(spec.cartan), key=sum)
+    marks = (*theta, 1)
+    comarks = (*spec.comark, 1)
+    assert all(extended[i][i] == 2 for i in range(rank + 1))
+    # the extended columns, as the matrix columns: marks on the right, comarks on the left
+    assert all(sum(a * col[i] for a, col in zip(marks, extended)) == 0
+               for i in range(rank + 1))
+    assert all(sum(c * x for c, x in zip(comarks, col)) == 0 for col in extended)
+
+
 class TestSpecConstruction:
     def test_a3_gram_values(self):
         # (L_i, L_j) = min(i, j) - i*j/n for sl_n
@@ -142,6 +279,11 @@ class TestSpecConstruction:
         assert lie.lie_algebra("G", 2).dual_coxeter == 4
         assert lie.lie_algebra("F", 4).dual_coxeter == 9
         assert lie.lie_algebra("E", 6).dual_coxeter == 12
+
+    def test_rank_one_b_refused(self):
+        # so(3) has one short root, so it is not A1 with long roots
+        with pytest.raises(ValueError, match=r"family B needs rank >= 2"):
+            lie.lie_algebra("B", 1)
 
     def test_comarks(self):
         assert A3.comark == (1, 1, 1)
@@ -260,7 +402,7 @@ class TestWeightMultiplicities:
             wm = lie.weight_multiplicities(spec, lam)
             for w, m in wm.items():
                 for i in range(spec.rank):
-                    refl = lie._reflect_simple(spec, w, i)
+                    refl = _reflect_simple(spec, w, i)
                     assert wm.get(refl, 0) == m
 
     @pytest.mark.parametrize("family,rank,k", [
