@@ -91,6 +91,10 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
             raise CategoryFileError(
                 f"unsupported schema_version {payload.get('schema_version')!r}")
         source = payload["source"]
+        if source != "external" and (not isinstance(source, dict)
+                                     or set(source) != {"family", "rank", "level"}):
+            raise CategoryFileError(
+                'source must be "external" or {"family", "rank", "level"}')
         simples = _entries(payload, "simples", lambda x: isinstance(x, str), "a string")
         dual = _entries(payload, "dual", _is_int, "an integer")
         quads = _entries(payload, "fusion", _ints(4), "four integers [a, b, c, N]")
@@ -135,25 +139,11 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
         twists.append(t)
 
     ring = FusionRing(simples=simples, unit_index=0, dual=dual, tensor=tensor)
-    try:
-        violation = fusion.axiom_violation(ring)
-    except fusion.TooLargeError as exc:
-        raise CategoryFileError(str(exc)) from None
-    if violation is not None:
-        raise CategoryFileError(f"fusion axioms fail: {violation}")
-
     data = ModularCategoryData(ring=ring, twist=tuple(twists), qdim=tuple(qdims))
     try:
         modular.validate(data)
-        modular.check_modular_grading(data)
-    except modular.InconsistentDataError as exc:
+    except (modular.InconsistentDataError, fusion.TooLargeError) as exc:
         raise CategoryFileError(str(exc)) from None
-
-    if source != "external":
-        if (not isinstance(source, dict)
-                or set(source) != {"family", "rank", "level"}):
-            raise CategoryFileError(
-                'source must be "external" or {"family", "rank", "level"}')
     return data, source
 
 

@@ -118,13 +118,13 @@ def cmd_invertibles(args) -> int:
     return EXIT_OK
 
 
-def _autoeq_record(data, ae) -> dict:
+def _autoeq_record(data, ae, p) -> dict:
     moved = {data.ring.simples[i]: data.ring.simples[x]
              for i, x in enumerate(ae.permutation) if i != x}
     return {
         "g": ae.g_label,
         "M": ae.M,
-        "q": list(currents.profile(data, ae.g).q.pair),
+        "q": list(p.q.pair),
         "zeta": list(ae.zeta.pair),
         "A": ae.A,
         "braided": ae.braided,
@@ -144,7 +144,7 @@ def cmd_autoeq(args) -> int:
     else:
         currents.require_coprimality(p)
         zetas = currents.admissible_zetas(p)
-    records = [_autoeq_record(data, currents.construct_autoeq(data, g, z))
+    records = [_autoeq_record(data, currents.construct_autoeq(data, g, z, p), p)
                for z in zetas]
     print(json.dumps(records if args.zeta is None else records[0],
                      sort_keys=True, indent=1))

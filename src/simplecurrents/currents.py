@@ -211,10 +211,11 @@ def all_autoequivalences(data: ModularCategoryData) -> list[CurrentAutoEq]:
 def commute_test(data: ModularCategoryData, g: int, h: int) -> bool:
     """Sufficient condition for the g- and h-auto-equivalences to commute.
 
-    True when g and h braid symmetrically, i.e. their monodromy is trivial.
+    True when g and h braid symmetrically, i.e. the charge of h under g is 0.
     """
-    fusion.fuse_permutation(data.ring, h)  # h must be invertible too
-    return modular.monodromy(data, g, h).is_zero
+    fusion.fuse_permutation(data.ring, g)  # g and h must both be invertible
+    fusion.fuse_permutation(data.ring, h)
+    return data.charges[g][h] == 0
 
 
 def compose(a: CurrentAutoEq, b: CurrentAutoEq) -> Perm:

@@ -2,16 +2,19 @@
 
 The data carried here is deliberately minimal: a twist angle per simple
 object (the conformal weight mod 1, exact) and a quantum dimension per
-simple object (float, used only for sign decisions).  Monodromy scalars and
-the cyclic grading induced by an invertible object are all derived from the
-twists through the ribbon identity, which keeps the whole pipeline exact.
+simple object (float, used only for sign decisions).  Monodromy scalars are
+derived from the twists through the ribbon identity, which keeps the whole
+pipeline exact; each category keeps them as one read-only table of integer
+grading charges, ``ModularCategoryData.charges``, which the gradings read.
+``validate`` is the one check of category data, built or loaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd
+from types import MappingProxyType
 
 from . import fusion, lie
 from .angles import RationalAngle
@@ -38,6 +41,26 @@ class ModularCategoryData:
     def size(self) -> int:
         return self.ring.size
 
+    @cached_property
+    def charges(self) -> MappingProxyType[int, tuple[int, ...]]:
+        """{g: (Q_g(x) for each x)} with monodromy(g, x) = Q_g(x)/M, for each
+        invertible g of order M (cached, read-only); InconsistentDataError,
+        naming g, x, the monodromy and M, unless each is an M-th root of unity."""
+        ring = self.ring
+        out = {}
+        for g in fusion.invertibles(ring):
+            m = fusion.invertible_order(ring, g)
+            row = []
+            for x in range(self.size):
+                mono = monodromy(self, g, x)
+                if m % mono.den:
+                    raise InconsistentDataError(
+                        f"monodromy {mono} of {ring.simples[g]} with {ring.simples[x]} "
+                        f"is not an order-{m} root")
+                row.append(mono.num * (m // mono.den))
+            out[g] = tuple(row)
+        return MappingProxyType(out)
+
 
 @dataclass(frozen=True)
 class InvertibleProfile:
@@ -57,8 +80,13 @@ class InvertibleProfile:
 
 
 def validate(data: ModularCategoryData) -> None:
-    """Check the structural invariants; raise InconsistentDataError on failure."""
+    """The one check of category data: the fusion axioms, the twists and quantum
+    dimensions, then faithful gradings (filling ``data.charges``).  Raises
+    InconsistentDataError, or fusion.TooLargeError past the exact check's bound."""
     ring = data.ring
+    violation = fusion.axiom_violation(ring)
+    if violation is not None:
+        raise InconsistentDataError(f"fusion axioms fail: {violation}")
     n = ring.size
     if len(data.twist) != n or len(data.qdim) != n:
         raise InconsistentDataError("twist/qdim lists must match the simple count")
@@ -73,6 +101,7 @@ def validate(data: ModularCategoryData) -> None:
                 f"twist not dual-invariant at {ring.simples[a]}")
     for g in fusion.invertibles(ring):
         qdim_sign(data, g)
+    check_modular_grading(data)
 
 
 def qdim_sign(data: ModularCategoryData, g: int) -> int:
@@ -115,22 +144,14 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
             prod = lie.fusion_coefficients(spec, k, weights[a], weights[b])
             tensor[(a, b)] = tensor[(b, a)] = {index[w]: m for w, m in prod.items()}
 
-    dual = []
-    for a in range(n):
-        partners = [b for b in range(n) if tensor[(a, b)].get(unit, 0) == 1]
-        if len(partners) != 1:
-            raise InconsistentDataError(f"no unique dual for {weights[a]}")
-        dual.append(partners[0])
-
+    # an a with no partner keeps itself, and validate's duality law refuses it
+    dual = [next((b for b in range(n) if unit in tensor[(a, b)]), a) for a in range(n)]
     ring = FusionRing(
         simples=tuple(lie.weight_label(w) for w in weights),
         unit_index=unit,
         dual=dual,
         tensor=tensor,
     )
-    violation = fusion.axiom_violation(ring)
-    if violation is not None:
-        raise InconsistentDataError(f"built ring violates fusion axioms: {violation}")
 
     def twist_of(w):
         h = lie.conformal_weight(spec, k, w)
@@ -143,7 +164,6 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
         weights=tuple(weights),
     )
     validate(data)
-    check_modular_grading(data)
     return data
 
 
@@ -180,37 +200,24 @@ def grading(data: ModularCategoryData, profile: InvertibleProfile,
     """Grade of every simple in the Z/M grading induced by g, relative to zeta.
 
     zeta must be a primitive M-th root of unity; grade(X) is the unique n
-    with monodromy(g, X) = zeta^n.  Monodromies that are not M-th roots of
-    unity mean the data is inconsistent.
+    with monodromy(g, X) = zeta^n, the charge Q_g(X) over zeta's numerator
+    mod M.
     """
     m = profile.M
     if not zeta.is_primitive(m):
         raise ValueError(f"{zeta} is not a primitive {m}-th root of unity")
-    grades = []
-    for x in range(data.size):
-        mono = monodromy(data, profile.g, x)
-        if m % mono.order != 0:
-            raise InconsistentDataError(
-                f"monodromy {mono} of {data.ring.simples[x]} is not an order-{m} root")
-        if m == 1:
-            grades.append(0)
-            continue
-        r = mono.num * (m // mono.den)
-        grades.append(r * pow(zeta.num, -1, m) % m)
-    return tuple(grades)
+    inverse = pow(zeta.num, -1, m)
+    return tuple(q * inverse % m for q in data.charges[profile.g])
 
 
 def grading_support(data: ModularCategoryData, profile: InvertibleProfile) -> int:
     """Order of the subgroup of Z/M actually hit by the grading of g.
 
-    Computed as the lcm of the multiplicative orders of all monodromy
-    scalars; equals M exactly when the grading is faithful.
+    M / gcd(M, every charge of g); equals M exactly when the grading is
+    faithful.
     """
-    return _support_of(data, profile.g)
-
-
-def _support_of(data: ModularCategoryData, g: int) -> int:
-    return lcm(*(monodromy(data, g, x).order for x in range(data.size)))
+    m = profile.M
+    return m // gcd(m, *data.charges[profile.g])
 
 
 def check_modular_grading(data: ModularCategoryData) -> None:
@@ -220,9 +227,9 @@ def check_modular_grading(data: ModularCategoryData) -> None:
     braids trivially with everything and the category cannot be modular.
     """
     ring = data.ring
-    for g in fusion.invertibles(ring):
+    for g, charge in data.charges.items():
         m = fusion.invertible_order(ring, g)
-        n = _support_of(data, g)
+        n = m // gcd(m, *charge)
         if n != m:
             label = ring.simples[g]
             raise InconsistentDataError(

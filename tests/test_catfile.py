@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,27 @@ def semion_payload():
         "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
         "twists": [[0, 1], [1, 4]], "qdims": [1.0, 1.0],
     }
+
+
+def z2_payload(twist):
+    """Z2 fusion on 0 and x, both of quantum dimension 1, with the given twist on x."""
+    return {
+        "schema_version": 1, "source": "external", "simples": ["0", "x"],
+        "dual": [0, 1],
+        "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+        "twists": [[0, 1], list(twist)], "qdims": [1.0, 1.0],
+    }
+
+
+# monodromy(x, x) = -2 twist(x); the grading check once took the lcm of the
+# monodromy orders and refused these as "support 4 < order 2" and "support 3
+# < order 2"
+Z2_REFUSALS = [
+    ((1, 8), "monodromy 3/4 of x with x is not an order-2 root"),
+    ((1, 3), "monodromy 1/3 of x with x is not an order-2 root"),
+    ((0, 1), "grading by x has support 1 < order 2: x^1 lies in the symmetric centre, "
+             "data is not modular"),
+]
 
 
 def edited(key, index, value):
@@ -207,6 +232,34 @@ class TestValidation:
         payload["source"] = "wzw"
         with pytest.raises(CategoryFileError, match="source"):
             catfile.load_category(self.write(tmp_path, payload))
+
+    def test_bad_source_refused_before_any_check(self, tmp_path, monkeypatch):
+        def no_check(ring):
+            raise AssertionError("axiom check reached")
+        monkeypatch.setattr(fusion, "axiom_violation", no_check)
+        payload = ising_payload()
+        payload["source"] = "wzw"
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(self.write(tmp_path, payload))
+        assert str(exc.value) == 'source must be "external" or {"family", "rank", "level"}'
+
+    @pytest.mark.parametrize("twist,message", Z2_REFUSALS)
+    def test_inconsistent_twist_refused(self, tmp_path, twist, message):
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(self.write(tmp_path, z2_payload(twist)))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("twist,message", Z2_REFUSALS)
+    def test_load_check_command_refuses_inconsistent_twist(self, tmp_path, twist, message):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "simplecurrents.cli", "load-check",
+             str(self.write(tmp_path, z2_payload(twist)))],
+            env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "cat.json"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from simplecurrents import cli
+from simplecurrents import cli, currents
 from simplecurrents.angles import angle
 
 
@@ -159,6 +159,17 @@ class TestAutoeq:
         records = json.loads(capsys.readouterr().out)
         assert records[0]["moved"] == {}
         assert records[0]["permutation"] == list(range(10))
+
+    @pytest.mark.parametrize("zeta", [[], ["--zeta=-i"]])
+    def test_profile_computed_once(self, a3_file, capsys, monkeypatch, zeta):
+        calls = []
+
+        def counted(data, g, profile=currents.profile):
+            calls.append(g)
+            return profile(data, g)
+        monkeypatch.setattr(currents, "profile", counted)
+        assert cli.main(["autoeq", str(a3_file), "2L1", *zeta]) == 0
+        assert len(calls) == 1
 
     def test_unknown_label(self, a3_file, capsys):
         assert cli.main(["autoeq", str(a3_file), "7L9"]) == 2

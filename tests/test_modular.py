@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from simplecurrents import currents, fusion, lie, modular
-from simplecurrents.angles import ZERO_ANGLE, angle
-from simplecurrents.fusion import NotInvertibleError
+from simplecurrents import catfile, currents, fusion, lie, modular
+from simplecurrents.angles import ZERO_ANGLE, angle, primitive_angles
+from simplecurrents.fusion import FusionRing, NotInvertibleError
 from simplecurrents.modular import InconsistentDataError
+from test_catfile import ising_payload
 
 
 class TestBuild:
@@ -195,3 +199,125 @@ class TestValidation:
             ring=ring, twist=(ZERO_ANGLE, ZERO_ANGLE), qdim=(1.0, 1.0))
         with pytest.raises(InconsistentDataError, match="symmetric centre"):
             modular.check_modular_grading(data)
+
+
+    def test_build_refuses_a_ring_without_duals(self, monkeypatch):
+        # L1 (x) L1 at A1 k=1 made L1 instead of the unit: L1 has no dual, so
+        # it keeps itself and validate's duality law refuses the ring
+        fold = lie.fusion_coefficients
+
+        def no_unit(spec, k, lam, mu):
+            return {(1,): 1} if (lam, mu) == ((1,), (1,)) else fold(spec, k, lam, mu)
+        monkeypatch.setattr(lie, "fusion_coefficients", no_unit)
+        with pytest.raises(InconsistentDataError) as exc:
+            modular.build_wzw_data.__wrapped__(lie.lie_algebra("A", 1), 1)
+        assert str(exc.value) == "fusion axioms fail: duality fails: N^unit_{1,1} = 0"
+
+
+# The readers of the charge table as they were before it, each recomputing
+# its monodromies from the twists: the references for the table's readers.
+
+
+def grading_by_monodromy(data, profile, zeta):
+    m = profile.M
+    grades = []
+    for x in range(data.size):
+        mono = modular.monodromy(data, profile.g, x)
+        assert m % mono.order == 0
+        grades.append(0 if m == 1 else
+                      mono.num * (m // mono.den) * pow(zeta.num, -1, m) % m)
+    return tuple(grades)
+
+
+def support_by_monodromy(data, g):
+    return lcm(*(modular.monodromy(data, g, x).order for x in range(data.size)))
+
+
+def commutes_by_monodromy(data, g, h):
+    return modular.monodromy(data, g, h).is_zero
+
+
+def pointed(*moduli):
+    """SU(N1)_1 x ... x SU(Nm)_1: Z_N1 x ... x Z_Nm fusion, twist sum of j(N-j)/2N."""
+    objects = list(itertools.product(*map(range, moduli)))
+    index = {o: i for i, o in enumerate(objects)}
+
+    def add(a, b):
+        return index[tuple((x + y) % n for x, y, n in zip(a, b, moduli))]
+    twists = [sum(Fraction(x * (n - x), 2 * n) for x, n in zip(o, moduli)) for o in objects]
+    ring = FusionRing([str(o) for o in objects], 0,
+                      [index[tuple(-x % n for x, n in zip(o, moduli))] for o in objects],
+                      {(index[a], index[b]): {add(a, b): 1} for a in objects for b in objects})
+    data = modular.ModularCategoryData(
+        ring=ring, twist=tuple(angle(t.numerator, t.denominator) for t in twists),
+        qdim=(1.0,) * len(objects))
+    modular.validate(data)
+    return data
+
+
+CHARGE_CATEGORIES = {
+    "sl4-2": lambda: modular.build_wzw_data(lie.lie_algebra("A", 3), 2),
+    "sl6-2": lambda: modular.build_wzw_data(lie.lie_algebra("A", 5), 2),
+    "so8-2": lambda: modular.build_wzw_data(lie.lie_algebra("D", 4), 2),
+    "A2-3": lambda: modular.build_wzw_data(lie.lie_algebra("A", 2), 3),
+    "A2-6": lambda: modular.build_wzw_data(lie.lie_algebra("A", 2), 6),
+    "A8-1": lambda: modular.build_wzw_data(lie.lie_algebra("A", 8), 1),
+    "E6-1": lambda: modular.build_wzw_data(lie.lie_algebra("E", 6), 1),
+    "ising": lambda: catfile.payload_to_category(ising_payload())[0],
+    "SU2xSU2xSU6-1": lambda: pointed(2, 2, 6),
+    "SU3xSU3-1": lambda: pointed(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARGE_CATEGORIES))
+class TestChargeTable:
+    def test_grading_equals_the_monodromy_reference(self, name):
+        # every primitive zeta, so every admissible one among them
+        data = CHARGE_CATEGORIES[name]()
+        for g in fusion.invertibles(data.ring):
+            p = currents.profile(data, g)
+            for zeta in primitive_angles(p.M):
+                assert (modular.grading(data, p, zeta)
+                        == grading_by_monodromy(data, p, zeta))
+
+    def test_support_and_commutation_equal_the_monodromy_reference(self, name):
+        data = CHARGE_CATEGORIES[name]()
+        inv = fusion.invertibles(data.ring)
+        assert list(data.charges) == inv
+        for g in inv:
+            p = currents.profile(data, g)
+            assert modular.grading_support(data, p) == support_by_monodromy(data, g) == p.M
+            for h in inv:
+                assert (currents.commute_test(data, g, h)
+                        == commutes_by_monodromy(data, g, h))
+
+    def test_table_is_read_only(self, name):
+        data = CHARGE_CATEGORIES[name]()
+        with pytest.raises(TypeError):
+            data.charges[0] = ()
+        assert all(isinstance(row, tuple) for row in data.charges.values())
+        with pytest.raises(TypeError):
+            data.charges[0][0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.charges = {}
+
+
+class TestChargeTableCache:
+    def test_replace_gets_a_fresh_table(self, so8_level2):
+        g = so8_level2.ring.index("2L1")
+        before = so8_level2.charges[g]
+        shifted = tuple(t + angle(1, 2) if y == g else t
+                        for y, t in enumerate(so8_level2.twist))
+        other = dataclasses.replace(so8_level2, twist=shifted)
+        assert other.charges is not so8_level2.charges
+        # each monodromy of g but those with the unit and g itself moves by -1/2
+        assert other.charges[g] == tuple(q if x in (0, g) else (q + 1) % 2
+                                         for x, q in enumerate(before))
+        assert so8_level2.charges[g] == before
+
+    def test_commute_test_requires_both_invertible(self, sl4_level2):
+        ring = sl4_level2.ring
+        g, x = ring.index("2L1"), ring.index("L1")
+        for pair in [(g, x), (x, g)]:
+            with pytest.raises(NotInvertibleError):
+                currents.commute_test(sl4_level2, *pair)
