@@ -144,7 +144,7 @@ def cmd_autoeq(args) -> int:
     else:
         currents.require_coprimality(p)
         zetas = currents.admissible_zetas(p)
-    records = [_autoeq_record(data, currents.construct_autoeq(data, g, z, p), p)
+    records = [_autoeq_record(data, currents.construct_autoeq(data, g, z), p)
                for z in zetas]
     print(json.dumps(records if args.zeta is None else records[0],
                      sort_keys=True, indent=1))

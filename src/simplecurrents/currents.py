@@ -34,10 +34,11 @@ class CoprimalityError(ValueError):
 class InadmissibleZetaError(ValueError):
     """The requested zeta is not an admissible primitive M-th root for this object."""
 
-    def __init__(self, zeta, admissible):
+    def __init__(self, zeta, label, admissible):
         self.admissible = list(admissible)
         opts = ", ".join(str(z) for z in self.admissible) or "none"
-        super().__init__(f"zeta = {zeta} is not admissible; admissible choices: {opts}")
+        super().__init__(
+            f"zeta = {zeta} is not admissible for {label}; admissible choices: {opts}")
 
 
 @dataclass
@@ -64,19 +65,10 @@ class CurrentAutoEq:
 
 
 def profile(data: ModularCategoryData, g: int) -> InvertibleProfile:
-    """Assemble (M, q, q^2, A) for an invertible object."""
-    ring = data.ring
-    m = fusion.invertible_order(ring, g)
-    q = modular.self_braiding(data, g)
-    q2 = q + q
-    if m % q2.order != 0:
-        raise InconsistentDataError(
-            f"q^2 = {q2} is not an order-{m} root of unity for {ring.simples[g]}")
-    if (2 * m) % q.order != 0 or (m % 2 == 1 and m % q.order != 0):
-        raise InconsistentDataError(
-            f"q = {q} has invalid order for an invertible of order {m}")
-    return InvertibleProfile(g=g, label=ring.simples[g], M=m, q=q, q_squared=q2,
-                             A=m // q2.order)
+    """(M, q, q^2, A) of an invertible object, from ``data.profiles``;
+    NotInvertibleError for any other object."""
+    fusion.fuse_permutation(data.ring, g)
+    return data.profiles[g]
 
 
 def exists_autoequivalence(p: InvertibleProfile) -> bool:
@@ -96,7 +88,8 @@ def admissible_zetas(p: InvertibleProfile) -> list[RationalAngle]:
     out = [z for z in primitive_angles(p.M) if z * p.A == p.q_squared]
     if exists_autoequivalence(p) and not out:
         raise InconsistentDataError(
-            f"no admissible zeta for M={p.M}, q={p.q} despite gcd(A+1, M) = 1")
+            f"no admissible zeta for {p.label} (M={p.M}, q={p.q}) "
+            f"despite gcd(A+1, M) = 1")
     return out
 
 
@@ -137,7 +130,8 @@ def classify_braided(p: InvertibleProfile, zeta: RationalAngle) -> bool:
 
 def classify_pivotal(data: ModularCategoryData, g: int) -> bool:
     """Whether the auto-equivalence is pivotal: exactly when d_g = +1."""
-    return modular.qdim_sign(data, g) > 0
+    profile(data, g)  # g is invertible, so |d_g| = 1
+    return data.qdim[g] > 0
 
 
 def order_bound(p: InvertibleProfile) -> int:
@@ -156,20 +150,14 @@ def order_bound(p: InvertibleProfile) -> int:
 # construction
 
 
-def construct_autoeq(data: ModularCategoryData, g: int, zeta: RationalAngle,
-                     p: InvertibleProfile | None = None) -> CurrentAutoEq:
-    """Build the auto-equivalence X -> g^grade(X) (x) X for an admissible zeta.
-
-    ``p`` is g's profile, computed here unless the caller already has it.
-    """
-    if p is None:
-        p = profile(data, g)
-    elif p.g != g:
-        raise ValueError(f"profile of object {p.g} ({p.label}) given for object {g}")
+def construct_autoeq(data: ModularCategoryData, g: int,
+                     zeta: RationalAngle) -> CurrentAutoEq:
+    """Build the auto-equivalence X -> g^grade(X) (x) X for an admissible zeta."""
+    p = profile(data, g)
     require_coprimality(p)
     admissible = admissible_zetas(p)
     if zeta not in admissible:
-        raise InadmissibleZetaError(zeta, admissible)
+        raise InadmissibleZetaError(zeta, p.label, admissible)
     grades = modular.grading(data, p, zeta)
     pi = fusion.fuse_permutation(data.ring, g)
     powers = [groups.identity_perm(data.size)]
@@ -194,14 +182,8 @@ def construct_autoeq(data: ModularCategoryData, g: int, zeta: RationalAngle,
 
 def all_autoequivalences(data: ModularCategoryData) -> list[CurrentAutoEq]:
     """Every constructible auto-equivalence (each invertible, each admissible zeta)."""
-    out = []
-    for g in fusion.invertibles(data.ring):
-        p = profile(data, g)
-        if not exists_autoequivalence(p):
-            continue
-        for zeta in admissible_zetas(p):
-            out.append(construct_autoeq(data, g, zeta, p))
-    return out
+    return [construct_autoeq(data, p.g, zeta) for p in data.profiles.values()
+            if exists_autoequivalence(p) for zeta in admissible_zetas(p)]
 
 
 # ---------------------------------------------------------------------------

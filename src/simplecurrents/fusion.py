@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 from types import MappingProxyType
 
 import numpy as np
@@ -206,11 +205,6 @@ def invertible_order(ring: FusionRing, g: int) -> int:
         x = perm[x]
         m += 1
     return m
-
-
-def invertible_group_exponent(ring: FusionRing) -> int:
-    """lcm of the orders of all invertible objects."""
-    return lcm(*(invertible_order(ring, g) for g in invertibles(ring)))
 
 
 def is_ring_automorphism(ring: FusionRing, perm) -> bool:

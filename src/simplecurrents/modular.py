@@ -5,8 +5,11 @@ object (the conformal weight mod 1, exact) and a quantum dimension per
 simple object (float, used only for sign decisions).  Monodromy scalars are
 derived from the twists through the ribbon identity, which keeps the whole
 pipeline exact; each category keeps them as one read-only table of integer
-grading charges, ``ModularCategoryData.charges``, which the gradings read.
-``validate`` is the one check of category data, built or loaded.
+grading charges, ``ModularCategoryData.charges``, which the gradings read,
+and what else each invertible object determines (its order, self-braiding
+eigenvalue and A) as one read-only table, ``ModularCategoryData.profiles``.
+``validate`` is the one check of category data, built or loaded, and fills
+both tables.
 """
 
 from __future__ import annotations
@@ -61,6 +64,41 @@ class ModularCategoryData:
             out[g] = tuple(row)
         return MappingProxyType(out)
 
+    @cached_property
+    def profiles(self) -> MappingProxyType[int, InvertibleProfile]:
+        """{g: InvertibleProfile} for each invertible g, the unit included, in
+        index order (cached, read-only); InconsistentDataError, naming g,
+        unless |d_g| = 1, q^2 is an M-th root and q an order-M (M odd) or
+        order-2M root.
+
+        q is the twist of g, shifted by a half turn when d_g = -1 (the ribbon
+        identity theta_g = q * d_g; no unitary level-k example has d_g = -1,
+        and the shift is a convention fixed here once).  sign(d_g) is the one
+        decision read from a float.  For built data every (lambda + rho, alpha)
+        lies strictly between 0 and kappa, so each sine factor of d_g is
+        positive: the float decides only for a file's qdims.
+        """
+        ring = self.ring
+        out = {}
+        for g in fusion.invertibles(ring):
+            label = ring.simples[g]
+            m = fusion.invertible_order(ring, g)
+            d = self.qdim[g]
+            if not abs(abs(d) - 1.0) <= QDIM_TOL:  # NaN fails too
+                raise InconsistentDataError(
+                    f"invertible {label} has |qdim| = {abs(d)}, expected 1")
+            q = self.twist[g] if d > 0 else self.twist[g] + RationalAngle(1, 2)
+            q2 = q + q
+            if m % q2.order != 0:
+                raise InconsistentDataError(
+                    f"q^2 = {q2} is not an order-{m} root of unity for {label}")
+            if (2 * m) % q.order != 0 or (m % 2 == 1 and m % q.order != 0):
+                raise InconsistentDataError(
+                    f"q = {q} has invalid order for {label} of order {m}")
+            out[g] = InvertibleProfile(g=g, label=label, M=m, q=q, q_squared=q2,
+                                       A=m // q2.order)
+        return MappingProxyType(out)
+
 
 @dataclass(frozen=True)
 class InvertibleProfile:
@@ -81,8 +119,9 @@ class InvertibleProfile:
 
 def validate(data: ModularCategoryData) -> None:
     """The one check of category data: the fusion axioms, the twists and quantum
-    dimensions, then faithful gradings (filling ``data.charges``).  Raises
-    InconsistentDataError, or fusion.TooLargeError past the exact check's bound."""
+    dimensions, then faithful gradings (filling ``data.charges``, then
+    ``data.profiles``).  Raises InconsistentDataError, or fusion.TooLargeError
+    past the exact check's bound."""
     ring = data.ring
     violation = fusion.axiom_violation(ring)
     if violation is not None:
@@ -99,19 +138,7 @@ def validate(data: ModularCategoryData) -> None:
         if data.twist[ring.dual[a]] != data.twist[a]:
             raise InconsistentDataError(
                 f"twist not dual-invariant at {ring.simples[a]}")
-    for g in fusion.invertibles(ring):
-        qdim_sign(data, g)
     check_modular_grading(data)
-
-
-def qdim_sign(data: ModularCategoryData, g: int) -> int:
-    """sign(d_g) of an invertible g; InconsistentDataError unless |d_g| = 1."""
-    fusion.fuse_permutation(data.ring, g)
-    d = data.qdim[g]
-    if not abs(abs(d) - 1.0) <= QDIM_TOL:  # NaN fails too
-        raise InconsistentDataError(
-            f"invertible {data.ring.simples[g]} has |qdim| = {abs(d)}, expected 1")
-    return 1 if d > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +199,10 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
 
 
 def self_braiding(data: ModularCategoryData, g: int) -> RationalAngle:
-    """Eigenvalue of the self-braiding of an invertible object, as an angle.
-
-    Derived from the ribbon partial-trace identity theta_g = q * d_g: the
-    angle is the twist of g, shifted by a half turn when d_g = -1.  (No
-    object with d_g = -1 occurs in the unitary level-k examples; the shift
-    is a convention, fixed here once and for all.)
-    """
-    q = data.twist[g]
-    if qdim_sign(data, g) < 0:
-        q = q + RationalAngle(1, 2)
-    return q
+    """Eigenvalue q of the self-braiding of an invertible object, as an angle,
+    read from ``data.profiles``; NotInvertibleError for any other object."""
+    fusion.fuse_permutation(data.ring, g)
+    return data.profiles[g].q
 
 
 def monodromy(data: ModularCategoryData, g: int, x: int) -> RationalAngle:
@@ -225,13 +245,12 @@ def check_modular_grading(data: ModularCategoryData) -> None:
 
     For each invertible g of order M, a grading support N < M means g^N
     braids trivially with everything and the category cannot be modular.
+    Every monodromy (``data.charges``) is checked before any profile.
     """
-    ring = data.ring
-    for g, charge in data.charges.items():
-        m = fusion.invertible_order(ring, g)
-        n = m // gcd(m, *charge)
-        if n != m:
-            label = ring.simples[g]
+    for g in data.charges:
+        p = data.profiles[g]
+        n = grading_support(data, p)
+        if n != p.M:
             raise InconsistentDataError(
-                f"grading by {label} has support {n} < order {m}: "
-                f"{label}^{n} lies in the symmetric centre, data is not modular")
+                f"grading by {p.label} has support {n} < order {p.M}: "
+                f"{p.label}^{n} lies in the symmetric centre, data is not modular")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from simplecurrents import cli, currents
+from simplecurrents import catfile, cli, currents, fusion, modular
 from simplecurrents.angles import angle
 
 
@@ -160,16 +160,25 @@ class TestAutoeq:
         assert records[0]["moved"] == {}
         assert records[0]["permutation"] == list(range(10))
 
-    @pytest.mark.parametrize("zeta", [[], ["--zeta=-i"]])
-    def test_profile_computed_once(self, a3_file, capsys, monkeypatch, zeta):
-        calls = []
+    def test_one_profile_per_invertible(self, a3_file, capsys, monkeypatch):
+        # validate fills data.profiles on load; nothing after it builds another
+        made, profile = [], modular.InvertibleProfile
 
-        def counted(data, g, profile=currents.profile):
-            calls.append(g)
-            return profile(data, g)
-        monkeypatch.setattr(currents, "profile", counted)
-        assert cli.main(["autoeq", str(a3_file), "2L1", *zeta]) == 0
-        assert len(calls) == 1
+        def counted(**fields):
+            made.append(fields["g"])
+            return profile(**fields)
+        monkeypatch.setattr(modular, "InvertibleProfile", counted)
+        data, _ = catfile.load_category(a3_file)
+        inv = fusion.invertibles(data.ring)
+        assert made == inv
+        currents.all_autoequivalences(data)
+        assert made == inv
+        path = str(a3_file)
+        for argv in (["autoeq", path, "2L1"], ["autoeq", path, "2L1", "--zeta=-i"],
+                     ["group", path, "2L1=i", "2L1=-i", "2L3=i"]):
+            made.clear()
+            assert cli.main(argv) == 0
+            assert made == inv
 
     def test_unknown_label(self, a3_file, capsys):
         assert cli.main(["autoeq", str(a3_file), "7L9"]) == 2
@@ -185,6 +194,12 @@ class TestGroup:
         out = capsys.readouterr().out
         assert "Z2 x Z2" in out
         assert "permutation" in out  # the caveat line
+
+    def test_inadmissible_zeta_names_its_generator(self, a5_file, capsys):
+        capsys.readouterr()
+        assert cli.main(["group", str(a5_file), "2L2=2/3", "2L3=-1", "2L4=1/3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: zeta = 1/3 is not admissible for 2L4; admissible choices: 2/3\n")
 
     def test_composite_matches_third_note(self, tmp_path, capsys):
         path = tmp_path / "D4-2.json"

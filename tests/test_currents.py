@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 
-from simplecurrents import currents, fusion, groups, lie, modular
+from simplecurrents import catfile, currents, fusion, groups, lie, modular
 from simplecurrents.angles import ZERO_ANGLE, angle
 from simplecurrents.currents import (CoprimalityError, InadmissibleZetaError,
                                      all_autoequivalences, construct_autoeq)
-from simplecurrents.modular import InvertibleProfile
+from simplecurrents.modular import InconsistentDataError, InvertibleProfile
+from test_catfile import semion_payload
+from test_modular import CHARGE_CATEGORIES
 
 
 def pairs(data, perm):
@@ -28,6 +32,81 @@ class TestProfile:
     def test_unit(self, sl4_level2):
         p = currents.profile(sl4_level2, sl4_level2.ring.unit_index)
         assert (p.M, p.q, p.A) == (1, ZERO_ANGLE, 1)
+
+
+def profile_from_twists(data, g):
+    """currents.profile as it was before ``data.profiles``: rebuilt from the
+    twists and quantum dimensions on every call; the reference for the table."""
+    ring = data.ring
+    m = fusion.invertible_order(ring, g)
+    d = data.qdim[g]
+    assert abs(abs(d) - 1.0) <= modular.QDIM_TOL
+    q = data.twist[g] if d > 0 else data.twist[g] + angle(1, 2)
+    q2 = q + q
+    assert m % q2.order == 0
+    assert (2 * m) % q.order == 0 and (m % 2 == 0 or m % q.order == 0)
+    return InvertibleProfile(g=g, label=ring.simples[g], M=m, q=q, q_squared=q2,
+                             A=m // q2.order)
+
+
+def negative_qdim():
+    """Z2 with twist 1/4 and d_g = -1: q = 3/4 by the half-turn convention."""
+    ring = fusion.FusionRing(simples=("0", "g"), unit_index=0, dual=(0, 1),
+                             tensor={(0, 0): {0: 1}, (0, 1): {1: 1},
+                                     (1, 0): {1: 1}, (1, 1): {0: 1}})
+    data = modular.ModularCategoryData(ring=ring, twist=(ZERO_ANGLE, angle(1, 4)),
+                                       qdim=(1.0, -1.0))
+    modular.validate(data)
+    return data
+
+
+PROFILE_CATEGORIES = {
+    **CHARGE_CATEGORIES,
+    "semion": lambda: catfile.payload_to_category(semion_payload())[0],
+    "negative-qdim": negative_qdim,
+}
+
+
+class TestProfileTable:
+    @pytest.mark.parametrize("name", sorted(PROFILE_CATEGORIES))
+    def test_table_equals_the_rebuilt_profiles(self, name):
+        data = PROFILE_CATEGORIES[name]()
+        inv = fusion.invertibles(data.ring)
+        assert list(data.profiles) == inv
+        assert dict(data.profiles) == {g: profile_from_twists(data, g) for g in inv}
+        for g in inv:
+            assert currents.profile(data, g) is data.profiles[g]
+            assert modular.self_braiding(data, g) == data.profiles[g].q
+
+    def test_negative_qdim_is_shifted_and_not_pivotal(self):
+        data = negative_qdim()
+        assert data.profiles[1].q == angle(3, 4)
+        assert not currents.classify_pivotal(data, 1)
+
+    def test_table_is_read_only(self, so8_level2):
+        with pytest.raises(TypeError):
+            so8_level2.profiles[0] = so8_level2.profiles[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            so8_level2.profiles[0].M = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            so8_level2.profiles = {}
+
+    def test_replace_gets_a_fresh_table(self, so8_level2):
+        g = so8_level2.ring.index("2L1")
+        before = so8_level2.profiles[g]
+        shifted = tuple(t + angle(1, 2) if y == g else t
+                        for y, t in enumerate(so8_level2.twist))
+        other = dataclasses.replace(so8_level2, twist=shifted)
+        assert other.profiles is not so8_level2.profiles
+        assert other.profiles[g] == profile_from_twists(other, g)
+        assert other.profiles[g].q == before.q + angle(1, 2)
+        assert so8_level2.profiles[g] is before
+
+    def test_requires_invertible(self, sl4_level2):
+        with pytest.raises(fusion.NotInvertibleError):
+            currents.profile(sl4_level2, sl4_level2.ring.index("L1"))
+        with pytest.raises(fusion.NotInvertibleError):
+            currents.classify_pivotal(sl4_level2, sl4_level2.ring.index("L1"))
 
 
 class TestGates:
@@ -79,29 +158,13 @@ class TestGates:
             construct_autoeq(sl4_level2, g, angle(1, 3))
         assert exc.value.admissible == [angle(1, 2)]
 
-    def test_all_autoequivalences_profiles_each_invertible_once(self, example_categories,
-                                                                monkeypatch):
-        for data in example_categories.values():
-            expected = [construct_autoeq(data, g, z)
-                        for g in fusion.invertibles(data.ring)
-                        if currents.exists_autoequivalence(p := currents.profile(data, g))
-                        for z in currents.admissible_zetas(p)]
-            calls = []
-
-            def counted(data, g, profile=currents.profile):
-                calls.append(g)
-                return profile(data, g)
-            monkeypatch.setattr(currents, "profile", counted)
-            assert all_autoequivalences(data) == expected
-            monkeypatch.undo()
-            assert calls == fusion.invertibles(data.ring)
-
-    def test_given_profile_must_be_of_g(self, sl4_level2):
-        ring = sl4_level2.ring
-        p = currents.profile(sl4_level2, ring.index("2L3"))
-        with pytest.raises(ValueError,
-                           match=r"^profile of object 2 \(2L3\) given for object 9$"):
-            construct_autoeq(sl4_level2, ring.index("2L1"), angle(1, 4), p)
+    def test_no_admissible_zeta_names_the_object(self):
+        # the gate passes, yet no primitive square root of unity squares to 1/3
+        p = InvertibleProfile(g=0, label="g", M=2, q=angle(1, 6), q_squared=angle(1, 3), A=2)
+        with pytest.raises(InconsistentDataError,
+                           match=r"^no admissible zeta for g \(M=2, q=1/6\) "
+                                 r"despite gcd\(A\+1, M\) = 1$"):
+            currents.admissible_zetas(p)
 
     def test_coprimality_failure_raises(self, sl6_level2):
         g = sl6_level2.ring.index("2L1")  # A = 2, M = 6, gcd(3, 6) = 3

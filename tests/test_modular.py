@@ -9,7 +9,7 @@ from simplecurrents import catfile, currents, fusion, lie, modular
 from simplecurrents.angles import ZERO_ANGLE, angle, primitive_angles
 from simplecurrents.fusion import FusionRing, NotInvertibleError
 from simplecurrents.modular import InconsistentDataError
-from test_catfile import ising_payload
+from test_catfile import GOLDEN_SHA256, ising_payload
 
 
 class TestBuild:
@@ -321,3 +321,24 @@ class TestChargeTableCache:
         for pair in [(g, x), (x, g)]:
             with pytest.raises(NotInvertibleError):
                 currents.commute_test(sl4_level2, *pair)
+
+
+# the categories the suite builds, and seven more of other types
+EXACT_SIGN_CASES = sorted({*GOLDEN_SHA256, ("A", 2, 3), ("A", 2, 6), ("A", 8, 1),
+                           ("E", 6, 1), ("D", 4, 1), ("B", 2, 1), ("C", 3, 1),
+                           ("G", 2, 1), ("G", 2, 3), ("F", 4, 2), ("E", 7, 2),
+                           ("E", 8, 2), ("B", 3, 3), ("C", 4, 2), ("D", 5, 3)})
+
+
+@pytest.mark.parametrize("family,rank,level", EXACT_SIGN_CASES)
+def test_built_quantum_dimensions_are_positive_exactly(family, rank, level):
+    # d_lam is a product of sin(pi P / (s kappa)) / sin(pi P_rho / (s kappa)) over
+    # the positive roots; with 0 < P < s kappa every factor is positive, so
+    # sign(d_g) of built data never rests on the float
+    spec = lie.lie_algebra(family, rank)
+    s, _, roots = lie._root_form(spec)
+    bound = s * (level + spec.dual_coxeter)
+    for lam in lie.alcove_weights(spec, level):
+        for _, _, pairing, _ in roots:
+            assert 0 < sum(p * (x + 1) for p, x in zip(pairing, lam)) < bound
+        assert lie.quantum_dimension(spec, level, lam) > 0
