@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from simplecurrents import catfile, cli, currents, fusion, modular
+from simplecurrents import catfile, cli, fusion, modular
 from simplecurrents.angles import angle
 
 
@@ -160,25 +160,32 @@ class TestAutoeq:
         assert records[0]["moved"] == {}
         assert records[0]["permutation"] == list(range(10))
 
-    def test_one_profile_per_invertible(self, a3_file, capsys, monkeypatch):
-        # validate fills data.profiles on load; nothing after it builds another
+    @staticmethod
+    def count_profiles(monkeypatch):
         made, profile = [], modular.InvertibleProfile
 
         def counted(**fields):
             made.append(fields["g"])
             return profile(**fields)
         monkeypatch.setattr(modular, "InvertibleProfile", counted)
+        return made
+
+    @pytest.mark.parametrize("zeta", [[], ["--zeta=-i"]])
+    def test_profile_computed_once(self, a3_file, capsys, monkeypatch, zeta):
+        # validate fills data.profiles on load; the command builds no other
+        inv = fusion.invertibles(catfile.load_category(a3_file)[0].ring)
+        made = self.count_profiles(monkeypatch)
+        assert cli.main(["autoeq", str(a3_file), "2L1", *zeta]) == 0
+        assert made == inv
+
+    def test_one_profile_per_invertible(self, a3_file, capsys, monkeypatch):
+        made = self.count_profiles(monkeypatch)
         data, _ = catfile.load_category(a3_file)
         inv = fusion.invertibles(data.ring)
         assert made == inv
-        currents.all_autoequivalences(data)
+        made.clear()
+        assert cli.main(["group", str(a3_file), "2L1=i", "2L1=-i", "2L3=i"]) == 0
         assert made == inv
-        path = str(a3_file)
-        for argv in (["autoeq", path, "2L1"], ["autoeq", path, "2L1", "--zeta=-i"],
-                     ["group", path, "2L1=i", "2L1=-i", "2L3=i"]):
-            made.clear()
-            assert cli.main(argv) == 0
-            assert made == inv
 
     def test_unknown_label(self, a3_file, capsys):
         assert cli.main(["autoeq", str(a3_file), "7L9"]) == 2

@@ -158,6 +158,24 @@ class TestGates:
             construct_autoeq(sl4_level2, g, angle(1, 3))
         assert exc.value.admissible == [angle(1, 2)]
 
+    def test_all_autoequivalences_profiles_each_invertible_once(self, example_categories,
+                                                                monkeypatch):
+        for data in example_categories.values():
+            expected = [construct_autoeq(data, g, z)
+                        for g in fusion.invertibles(data.ring)
+                        if currents.exists_autoequivalence(p := currents.profile(data, g))
+                        for z in currents.admissible_zetas(p)]
+            fresh = dataclasses.replace(data)  # no table built yet
+            made, profile = [], modular.InvertibleProfile
+
+            def counted(**fields):
+                made.append(fields["g"])
+                return profile(**fields)
+            monkeypatch.setattr(modular, "InvertibleProfile", counted)
+            assert all_autoequivalences(fresh) == expected
+            monkeypatch.undo()
+            assert made == fusion.invertibles(data.ring)
+
     def test_no_admissible_zeta_names_the_object(self):
         # the gate passes, yet no primitive square root of unity squares to 1/3
         p = InvertibleProfile(g=0, label="g", M=2, q=angle(1, 6), q_squared=angle(1, 3), A=2)
