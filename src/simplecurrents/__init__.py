@@ -27,7 +27,7 @@ from .lie import (LieAlgebraSpec, OutOfAlcoveError, alcove_weights,
                   weyl_dimension)
 from .modular import (InconsistentDataError, InvertibleProfile,
                       ModularCategoryData, build_wzw_data, grading,
-                      grading_support, monodromy, self_braiding)
+                      grading_support, monodromy)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "invertibles", "invertible_order", "fuse_permutation",
     "is_ring_automorphism",
     "ModularCategoryData", "InvertibleProfile", "InconsistentDataError",
-    "build_wzw_data", "self_braiding", "monodromy", "grading",
+    "build_wzw_data", "monodromy", "grading",
     "grading_support",
     "CurrentAutoEq", "CoprimalityError", "InadmissibleZetaError",
     "profile", "exists_autoequivalence", "admissible_zetas",

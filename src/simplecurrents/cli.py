@@ -100,14 +100,9 @@ def cmd_load_check(args) -> int:
 
 def cmd_invertibles(args) -> int:
     data = _load(args.path)
-    ring = data.ring
-    rows = []
-    for g in fusion.invertibles(ring):
-        if g == ring.unit_index:
-            continue
-        p = currents.profile(data, g)
-        rows.append((p.label, p.M, render_angle(p.q), p.A,
-                     "yes" if currents.exists_autoequivalence(p) else "no"))
+    rows = [(p.label, p.M, render_angle(p.q), p.A,
+             "yes" if currents.exists_autoequivalence(p) else "no")
+            for p in data.profiles.values() if p.g != data.ring.unit_index]
     if not rows:
         print("no non-trivial invertible objects")
         return EXIT_OK

@@ -65,8 +65,9 @@ class CurrentAutoEq:
 
 
 def profile(data: ModularCategoryData, g: int) -> InvertibleProfile:
-    """(M, q, q^2, A) of an invertible object, from ``data.profiles``;
-    NotInvertibleError for any other object."""
+    """The record (M, q, q^2, A, charges) of an invertible object, from
+    ``data.profiles``; NotInvertibleError for any other object.  The one
+    invertibility gate of the readers of category data."""
     fusion.fuse_permutation(data.ring, g)
     return data.profiles[g]
 
@@ -158,8 +159,8 @@ def construct_autoeq(data: ModularCategoryData, g: int,
     admissible = admissible_zetas(p)
     if zeta not in admissible:
         raise InadmissibleZetaError(zeta, p.label, admissible)
-    grades = modular.grading(data, p, zeta)
-    pi = fusion.fuse_permutation(data.ring, g)
+    grades = modular.grading(p, zeta)
+    pi = data.ring.invertible_permutations[g]
     powers = [groups.identity_perm(data.size)]
     for _ in range(1, p.M):
         powers.append(groups.compose_perms(pi, powers[-1]))
@@ -195,9 +196,9 @@ def commute_test(data: ModularCategoryData, g: int, h: int) -> bool:
 
     True when g and h braid symmetrically, i.e. the charge of h under g is 0.
     """
-    fusion.fuse_permutation(data.ring, g)  # g and h must both be invertible
-    fusion.fuse_permutation(data.ring, h)
-    return data.charges[g][h] == 0
+    charges = profile(data, g).charges
+    profile(data, h)  # h must be invertible too
+    return charges[h] == 0
 
 
 def compose(a: CurrentAutoEq, b: CurrentAutoEq) -> Perm:
@@ -212,7 +213,10 @@ def compose(a: CurrentAutoEq, b: CurrentAutoEq) -> Perm:
 
 
 def generated_group(autoeqs: list[CurrentAutoEq], cap: int = 1024) -> GroupReport:
-    """Permutation-level group generated by the given auto-equivalences."""
+    """Permutation-level group generated by the given auto-equivalences;
+    ValueError, naming the cap, unless cap >= 1."""
+    if cap < 1:
+        raise ValueError(f"closure cap must be at least 1, got {cap}")
     if not autoeqs:
         raise ValueError("need at least one auto-equivalence")
     ring = autoeqs[0].data.ring

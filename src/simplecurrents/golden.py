@@ -8,7 +8,7 @@ returns (ok, report lines).  The CLI `reproduce` verb is a thin wrapper.
 
 from __future__ import annotations
 
-from . import currents, fusion, lie, modular
+from . import currents, lie, modular
 from .angles import angle
 from .currents import CurrentAutoEq
 
@@ -99,12 +99,12 @@ def reproduce_sl6_level2() -> tuple[bool, list[str]]:
     ring = data.ring
     c.check("category has 21 simple objects", data.size == 21, f"got {data.size}")
 
-    inv = [x for x in fusion.invertibles(ring) if x != ring.unit_index]
-    c.check("five non-trivial invertible objects", len(inv) == 5, f"got {len(inv)}")
+    profiles = {p.label: p for p in data.profiles.values() if p.g != ring.unit_index}
+    c.check("five non-trivial invertible objects", len(profiles) == 5,
+            f"got {len(profiles)}")
     known = {"2L1": (6, angle(5, 6)), "2L2": (3, angle(1, 3)),
                  "2L3": (2, angle(1, 2)), "2L4": (3, angle(1, 3)),
                  "2L5": (6, angle(5, 6))}
-    profiles = {ring.simples[x]: currents.profile(data, x) for x in inv}
     got = {lab: (p.M, p.q) for lab, p in profiles.items()}
     c.check("orders and braiding eigenvalues match the known table",
             got == known, f"got { {k: (m, str(q)) for k, (m, q) in got.items()} }")
@@ -145,11 +145,10 @@ def reproduce_so8_level2() -> tuple[bool, list[str]]:
     ring = data.ring
     c.check("category has 11 simple objects", data.size == 11, f"got {data.size}")
 
-    inv = [x for x in fusion.invertibles(ring) if x != ring.unit_index]
-    labels = sorted(ring.simples[x] for x in inv)
+    profiles = {p.label: p for p in data.profiles.values() if p.g != ring.unit_index}
+    labels = sorted(profiles)
     c.check("the non-trivial invertibles are 2L1, 2L3, 2L4",
             labels == ["2L1", "2L3", "2L4"], f"got {labels}")
-    profiles = {ring.simples[x]: currents.profile(data, x) for x in inv}
     c.check("all three have order 2 and braid eigenvalue 1",
             all(p.M == 2 and p.q.is_zero for p in profiles.values()))
 

@@ -4,12 +4,12 @@ The data carried here is deliberately minimal: a twist angle per simple
 object (the conformal weight mod 1, exact) and a quantum dimension per
 simple object (float, used only for sign decisions).  Monodromy scalars are
 derived from the twists through the ribbon identity, which keeps the whole
-pipeline exact; each category keeps them as one read-only table of integer
-grading charges, ``ModularCategoryData.charges``, which the gradings read,
-and what else each invertible object determines (its order, self-braiding
-eigenvalue and A) as one read-only table, ``ModularCategoryData.profiles``.
-``validate`` is the one check of category data, built or loaded, and fills
-both tables.
+pipeline exact.  Everything an invertible object determines (its order,
+self-braiding eigenvalue, A and integer grading charges) is one record, its
+``InvertibleProfile``, and each category keeps these records as one
+read-only table, ``ModularCategoryData.profiles``, built in one loop over
+the invertibles.  ``validate`` is the one check of category data, built or
+loaded, and fills that table.
 """
 
 from __future__ import annotations
@@ -45,31 +45,12 @@ class ModularCategoryData:
         return self.ring.size
 
     @cached_property
-    def charges(self) -> MappingProxyType[int, tuple[int, ...]]:
-        """{g: (Q_g(x) for each x)} with monodromy(g, x) = Q_g(x)/M, for each
-        invertible g of order M (cached, read-only); InconsistentDataError,
-        naming g, x, the monodromy and M, unless each is an M-th root of unity."""
-        ring = self.ring
-        out = {}
-        for g in fusion.invertibles(ring):
-            m = fusion.invertible_order(ring, g)
-            row = []
-            for x in range(self.size):
-                mono = monodromy(self, g, x)
-                if m % mono.den:
-                    raise InconsistentDataError(
-                        f"monodromy {mono} of {ring.simples[g]} with {ring.simples[x]} "
-                        f"is not an order-{m} root")
-                row.append(mono.num * (m // mono.den))
-            out[g] = tuple(row)
-        return MappingProxyType(out)
-
-    @cached_property
     def profiles(self) -> MappingProxyType[int, InvertibleProfile]:
         """{g: InvertibleProfile} for each invertible g, the unit included, in
-        index order (cached, read-only); InconsistentDataError, naming g,
-        unless |d_g| = 1, q^2 is an M-th root and q an order-M (M odd) or
-        order-2M root.
+        index order (cached, read-only), built one g at a time.
+        InconsistentDataError, naming g, unless each monodromy of g is an M-th
+        root, |d_g| = 1, q^2 is an M-th root and q an order-M (M odd) or
+        order-2M root, checked in that order.
 
         q is the twist of g, shifted by a half turn when d_g = -1 (the ribbon
         identity theta_g = q * d_g; no unitary level-k example has d_g = -1,
@@ -83,6 +64,14 @@ class ModularCategoryData:
         for g in fusion.invertibles(ring):
             label = ring.simples[g]
             m = fusion.invertible_order(ring, g)
+            charges = []
+            for x in range(self.size):
+                mono = monodromy(self, g, x)
+                if m % mono.den:
+                    raise InconsistentDataError(
+                        f"monodromy {mono} of {label} with {ring.simples[x]} "
+                        f"is not an order-{m} root")
+                charges.append(mono.num * (m // mono.den))
             d = self.qdim[g]
             if not abs(abs(d) - 1.0) <= QDIM_TOL:  # NaN fails too
                 raise InconsistentDataError(
@@ -96,17 +85,18 @@ class ModularCategoryData:
                 raise InconsistentDataError(
                     f"q = {q} has invalid order for {label} of order {m}")
             out[g] = InvertibleProfile(g=g, label=label, M=m, q=q, q_squared=q2,
-                                       A=m // q2.order)
+                                       A=m // q2.order, charges=tuple(charges))
         return MappingProxyType(out)
 
 
 @dataclass(frozen=True)
 class InvertibleProfile:
-    """The data an invertible object feeds into the auto-equivalence machine.
+    """Everything an invertible object g feeds into the auto-equivalence machine.
 
     M is the fusion order of g, q the eigenvalue of its self-braiding, and
     A = M / order(q^2), the integer controlling both the coprimality gate
     and the degree shift of the induced grading permutation; label names g.
+    charges holds Q_g(x) for each simple x, with monodromy(g, x) = Q_g(x)/M.
     """
 
     g: int
@@ -115,12 +105,13 @@ class InvertibleProfile:
     q: RationalAngle
     q_squared: RationalAngle
     A: int
+    charges: tuple[int, ...]
 
 
 def validate(data: ModularCategoryData) -> None:
     """The one check of category data: the fusion axioms, the twists and quantum
-    dimensions, then faithful gradings (filling ``data.charges``, then
-    ``data.profiles``).  Raises InconsistentDataError, or fusion.TooLargeError
+    dimensions, then every invertible's record (filling ``data.profiles``) and
+    faithful gradings.  Raises InconsistentDataError, or fusion.TooLargeError
     past the exact check's bound."""
     ring = data.ring
     violation = fusion.axiom_violation(ring)
@@ -198,13 +189,6 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
 # braiding scalars derived from twists
 
 
-def self_braiding(data: ModularCategoryData, g: int) -> RationalAngle:
-    """Eigenvalue q of the self-braiding of an invertible object, as an angle,
-    read from ``data.profiles``; NotInvertibleError for any other object."""
-    fusion.fuse_permutation(data.ring, g)
-    return data.profiles[g].q
-
-
 def monodromy(data: ModularCategoryData, g: int, x: int) -> RationalAngle:
     """Scalar of the double braiding of an invertible g with a simple x.
 
@@ -215,8 +199,7 @@ def monodromy(data: ModularCategoryData, g: int, x: int) -> RationalAngle:
     return data.twist[perm[x]] - data.twist[g] - data.twist[x]
 
 
-def grading(data: ModularCategoryData, profile: InvertibleProfile,
-            zeta: RationalAngle) -> tuple[int, ...]:
+def grading(profile: InvertibleProfile, zeta: RationalAngle) -> tuple[int, ...]:
     """Grade of every simple in the Z/M grading induced by g, relative to zeta.
 
     zeta must be a primitive M-th root of unity; grade(X) is the unique n
@@ -227,17 +210,17 @@ def grading(data: ModularCategoryData, profile: InvertibleProfile,
     if not zeta.is_primitive(m):
         raise ValueError(f"{zeta} is not a primitive {m}-th root of unity")
     inverse = pow(zeta.num, -1, m)
-    return tuple(q * inverse % m for q in data.charges[profile.g])
+    return tuple(q * inverse % m for q in profile.charges)
 
 
-def grading_support(data: ModularCategoryData, profile: InvertibleProfile) -> int:
+def grading_support(profile: InvertibleProfile) -> int:
     """Order of the subgroup of Z/M actually hit by the grading of g.
 
     M / gcd(M, every charge of g); equals M exactly when the grading is
     faithful.
     """
     m = profile.M
-    return m // gcd(m, *data.charges[profile.g])
+    return m // gcd(m, *profile.charges)
 
 
 def check_modular_grading(data: ModularCategoryData) -> None:
@@ -245,11 +228,10 @@ def check_modular_grading(data: ModularCategoryData) -> None:
 
     For each invertible g of order M, a grading support N < M means g^N
     braids trivially with everything and the category cannot be modular.
-    Every monodromy (``data.charges``) is checked before any profile.
+    Reads ``data.profiles``, so every record is checked before any support.
     """
-    for g in data.charges:
-        p = data.profiles[g]
-        n = grading_support(data, p)
+    for p in data.profiles.values():
+        n = grading_support(p)
         if n != p.M:
             raise InconsistentDataError(
                 f"grading by {p.label} has support {n} < order {p.M}: "

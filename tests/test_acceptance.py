@@ -147,8 +147,9 @@ def _realisable_qs(m):
 
 
 def _profile_for(m, q):
-    q2 = q + q
-    return InvertibleProfile(g=0, label="g", M=m, q=q, q_squared=q2, A=m // q2.order)
+    q2 = q + q  # no category, so no charges: the gates read none
+    return InvertibleProfile(g=0, label="g", M=m, q=q, q_squared=q2, A=m // q2.order,
+                             charges=())
 
 
 def _totient(n):
@@ -193,7 +194,7 @@ def test_criterion_6c_invariants_on_example_categories(example_categories):
         for data in example_categories.values():
             for ae in currents.all_autoequivalences(data):
                 p = currents.profile(data, ae.g)
-                grades = modular.grading(data, p, ae.zeta)
+                grades = modular.grading(p, ae.zeta)
                 for x in range(data.size):
                     assert grades[ae.permutation[x]] == (ae.A + 1) * grades[x] % ae.M
                 assert fusion.is_ring_automorphism(data.ring, ae.permutation)

@@ -61,6 +61,17 @@ Z2_REFUSALS = [
 ]
 
 
+def z2xz2_payload():
+    """Z2 x Z2 on 0, a, b and c = ab: every monodromy of a is 0 but its qdim
+    is 2, and b has twist 1/8, so monodromy(b, b) = 3/4."""
+    return {
+        "schema_version": 1, "source": "external", "simples": ["0", "a", "b", "c"],
+        "dual": [0, 1, 2, 3],
+        "fusion": [[x, y, x ^ y, 1] for x in range(4) for y in range(4)],
+        "twists": [[0, 1], [0, 1], [1, 8], [1, 8]], "qdims": [1.0, 2.0, 1.0, 1.0],
+    }
+
+
 def edited(key, index, value):
     payload = semion_payload()
     if index is None:
@@ -261,6 +272,17 @@ class TestValidation:
             env=env, capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
+    def test_two_faults_name_the_earlier_invertible(self, tmp_path, capsys):
+        # each invertible's record is checked whole before the next one, so
+        # a's qdim is named, not b's monodromy
+        message = "invertible a has |qdim| = 2.0, expected 1"
+        path = self.write(tmp_path, z2xz2_payload())
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(path)
+        assert str(exc.value) == message
+        assert cli.main(["load-check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "cat.json"
         path.write_text("not json", encoding="utf-8")
@@ -324,5 +346,5 @@ class TestExternalIsing:
 
     def test_grading(self, ising):
         p = currents.profile(ising, 1)
-        assert modular.grading(ising, p, angle(1, 2)) == (0, 0, 1)
-        assert modular.grading_support(ising, p) == 2
+        assert modular.grading(p, angle(1, 2)) == (0, 0, 1)
+        assert modular.grading_support(p) == 2

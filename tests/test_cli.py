@@ -217,6 +217,14 @@ class TestGroup:
         assert "Z2 x Z2" in out
         assert "= F(2L4,1/2)" in out
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_an_input_error(self, a3_file, capsys, cap):
+        capsys.readouterr()
+        assert cli.main(["group", str(a3_file), "2L1=i", f"--cap={cap}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: closure cap must be at least 1, got {cap}\n")
+
     def test_empty_generator_list(self, a3_file, capsys):
         capsys.readouterr()
         assert cli.main(["group", str(a3_file)]) == 0

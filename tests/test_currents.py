@@ -8,7 +8,7 @@ from simplecurrents.currents import (CoprimalityError, InadmissibleZetaError,
                                      all_autoequivalences, construct_autoeq)
 from simplecurrents.modular import InconsistentDataError, InvertibleProfile
 from test_catfile import semion_payload
-from test_modular import CHARGE_CATEGORIES
+from test_modular import CHARGE_CATEGORIES, charges_by_monodromy
 
 
 def pairs(data, perm):
@@ -36,7 +36,8 @@ class TestProfile:
 
 def profile_from_twists(data, g):
     """currents.profile as it was before ``data.profiles``: rebuilt from the
-    twists and quantum dimensions on every call; the reference for the table."""
+    twists and quantum dimensions on every call, with the charge row of the
+    per-monodromy grading reference; the reference for the table."""
     ring = data.ring
     m = fusion.invertible_order(ring, g)
     d = data.qdim[g]
@@ -46,7 +47,7 @@ def profile_from_twists(data, g):
     assert m % q2.order == 0
     assert (2 * m) % q.order == 0 and (m % 2 == 0 or m % q.order == 0)
     return InvertibleProfile(g=g, label=ring.simples[g], M=m, q=q, q_squared=q2,
-                             A=m // q2.order)
+                             A=m // q2.order, charges=charges_by_monodromy(data, g, m))
 
 
 def negative_qdim():
@@ -76,7 +77,7 @@ class TestProfileTable:
         assert dict(data.profiles) == {g: profile_from_twists(data, g) for g in inv}
         for g in inv:
             assert currents.profile(data, g) is data.profiles[g]
-            assert modular.self_braiding(data, g) == data.profiles[g].q
+            assert currents.profile(data, g).q == data.profiles[g].q
 
     def test_negative_qdim_is_shifted_and_not_pivotal(self):
         data = negative_qdim()
@@ -115,7 +116,8 @@ class TestGates:
         assert currents.admissible_zetas(p) == [angle(1, 4), angle(3, 4)]
 
     def test_admissible_zetas_order3(self):
-        p = InvertibleProfile(g=0, label="g", M=3, q=angle(1, 3), q_squared=angle(2, 3), A=1)
+        p = InvertibleProfile(g=0, label="g", M=3, q=angle(1, 3), q_squared=angle(2, 3), A=1,
+                              charges=())
         assert currents.admissible_zetas(p) == [angle(2, 3)]
 
     def test_admissible_zetas_unit(self, sl4_level2):
@@ -178,7 +180,8 @@ class TestGates:
 
     def test_no_admissible_zeta_names_the_object(self):
         # the gate passes, yet no primitive square root of unity squares to 1/3
-        p = InvertibleProfile(g=0, label="g", M=2, q=angle(1, 6), q_squared=angle(1, 3), A=2)
+        p = InvertibleProfile(g=0, label="g", M=2, q=angle(1, 6), q_squared=angle(1, 3), A=2,
+                              charges=())
         with pytest.raises(InconsistentDataError,
                            match=r"^no admissible zeta for g \(M=2, q=1/6\) "
                                  r"despite gcd\(A\+1, M\) = 1$"):
@@ -238,7 +241,7 @@ class TestConstruction:
         for data in example_categories.values():
             for ae in all_autoequivalences(data):
                 p = currents.profile(data, ae.g)
-                grades = modular.grading(data, p, ae.zeta)
+                grades = modular.grading(p, ae.zeta)
                 for x in range(data.size):
                     assert grades[ae.permutation[x]] == (ae.A + 1) * grades[x] % ae.M
 
@@ -289,7 +292,8 @@ class TestClassification:
         assert currents.classify_pivotal(sl4_level2, sl4_level2.ring.unit_index)
 
     def test_order_bounds(self):
-        mk = lambda m, q, a: InvertibleProfile(g=0, label="g", M=m, q=q, q_squared=q + q, A=a)
+        mk = lambda m, q, a: InvertibleProfile(g=0, label="g", M=m, q=q, q_squared=q + q, A=a,
+                                               charges=())
         assert currents.order_bound(mk(4, angle(3, 4), 2)) == 2
         assert currents.order_bound(mk(3, angle(1, 3), 1)) == 2
         assert currents.order_bound(mk(2, ZERO_ANGLE, 2)) == 2
@@ -383,6 +387,12 @@ class TestGeneratedGroup:
         ae = construct_autoeq(sl4_level2, g, angle(1, 4))
         with pytest.raises(groups.ClosureCapExceededError):
             currents.generated_group([ae], cap=1)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_refused(self, sl4_level2, cap):
+        ae = construct_autoeq(sl4_level2, sl4_level2.ring.unit_index, ZERO_ANGLE)
+        with pytest.raises(ValueError, match=f"^closure cap must be at least 1, got {cap}$"):
+            currents.generated_group([ae], cap=cap)
 
     def test_table_is_a_group_table(self, so8_level2):
         aes = [construct_autoeq(so8_level2, so8_level2.ring.index(lab), angle(1, 2))

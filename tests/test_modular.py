@@ -62,16 +62,16 @@ class TestBuild:
 
 class TestSelfBraiding:
     def test_paper_values(self, sl4_level2, sl6_level2, so8_level2):
-        assert modular.self_braiding(
-            sl4_level2, sl4_level2.ring.index("2L1")) == angle(3, 4)
-        assert modular.self_braiding(
-            sl6_level2, sl6_level2.ring.index("2L1")) == angle(5, 6)
-        assert modular.self_braiding(
-            so8_level2, so8_level2.ring.index("2L4")) == ZERO_ANGLE
+        assert currents.profile(
+            sl4_level2, sl4_level2.ring.index("2L1")).q == angle(3, 4)
+        assert currents.profile(
+            sl6_level2, sl6_level2.ring.index("2L1")).q == angle(5, 6)
+        assert currents.profile(
+            so8_level2, so8_level2.ring.index("2L4")).q == ZERO_ANGLE
 
     def test_requires_invertible(self, sl4_level2):
         with pytest.raises(NotInvertibleError):
-            modular.self_braiding(sl4_level2, sl4_level2.ring.index("L1"))
+            currents.profile(sl4_level2, sl4_level2.ring.index("L1"))
 
     def test_negative_dimension_convention(self):
         # for d_g = -1 the eigenvalue is the twist shifted by a half turn
@@ -81,13 +81,13 @@ class TestSelfBraiding:
                                   (1, 0): {1: 1}, (1, 1): {0: 1}})
         data = modular.ModularCategoryData(
             ring=ring, twist=(ZERO_ANGLE, angle(1, 4)), qdim=(1.0, -1.0))
-        assert modular.self_braiding(data, 1) == angle(3, 4)
+        assert currents.profile(data, 1).q == angle(3, 4)
 
     def test_square_equals_self_monodromy(self, example_categories):
         # q^2 (angle-doubled q) must equal twist(g x g) - 2 twist(g)
         for data in example_categories.values():
             for g in fusion.invertibles(data.ring):
-                q = modular.self_braiding(data, g)
+                q = currents.profile(data, g).q
                 assert q + q == modular.monodromy(data, g, g)
 
 
@@ -119,16 +119,16 @@ class TestGrading:
         data = sl4_level2
         ring = data.ring
         p = currents.profile(data, ring.index("2L1"))
-        g_mi = modular.grading(data, p, angle(3, 4))
+        g_mi = modular.grading(p, angle(3, 4))
         assert g_mi[ring.index("L1")] == 1
-        g_i = modular.grading(data, p, angle(1, 4))
+        g_i = modular.grading(p, angle(1, 4))
         assert g_i[ring.index("L1")] == 3
         assert g_i[ring.unit_index] == 0
 
     def test_rejects_imprimitive_zeta(self, sl4_level2):
         p = currents.profile(sl4_level2, sl4_level2.ring.index("2L1"))
         with pytest.raises(ValueError):
-            modular.grading(sl4_level2, p, angle(1, 2))
+            modular.grading(p, angle(1, 2))
 
     def test_additivity(self, example_categories):
         # grade(Z) = grade(X) + grade(Y) mod M whenever N^Z_{XY} > 0
@@ -140,24 +140,24 @@ class TestGrading:
                     else None
                 if zeta is None:
                     continue
-                grades = modular.grading(data, p, zeta)
+                grades = modular.grading(p, zeta)
                 for (a, b), fiber in ring.tensor.items():
                     for c in fiber:
                         assert grades[c] == (grades[a] + grades[b]) % p.M
 
     def test_support(self, sl4_level2, so8_level2):
         p4 = currents.profile(sl4_level2, sl4_level2.ring.index("2L1"))
-        assert modular.grading_support(sl4_level2, p4) == 4
+        assert modular.grading_support(p4) == 4
         p8 = currents.profile(so8_level2, so8_level2.ring.index("2L1"))
-        assert modular.grading_support(so8_level2, p8) == 2
+        assert modular.grading_support(p8) == 2
         pu = currents.profile(sl4_level2, sl4_level2.ring.unit_index)
-        assert modular.grading_support(sl4_level2, pu) == 1
+        assert modular.grading_support(pu) == 1
 
     def test_faithful_on_built_categories(self, example_categories):
         for data in example_categories.values():
             for g in fusion.invertibles(data.ring):
                 p = currents.profile(data, g)
-                assert modular.grading_support(data, p) == p.M
+                assert modular.grading_support(p) == p.M
 
 
 class TestValidation:
@@ -218,15 +218,19 @@ class TestValidation:
 # its monodromies from the twists: the references for the table's readers.
 
 
+def charges_by_monodromy(data, g, m):
+    charges = []
+    for x in range(data.size):
+        mono = modular.monodromy(data, g, x)
+        assert m % mono.order == 0
+        charges.append(mono.num * (m // mono.den))
+    return tuple(charges)
+
+
 def grading_by_monodromy(data, profile, zeta):
     m = profile.M
-    grades = []
-    for x in range(data.size):
-        mono = modular.monodromy(data, profile.g, x)
-        assert m % mono.order == 0
-        grades.append(0 if m == 1 else
-                      mono.num * (m // mono.den) * pow(zeta.num, -1, m) % m)
-    return tuple(grades)
+    return tuple(0 if m == 1 else q * pow(zeta.num, -1, m) % m
+                 for q in charges_by_monodromy(data, profile.g, m))
 
 
 def support_by_monodromy(data, g):
@@ -277,16 +281,16 @@ class TestChargeTable:
         for g in fusion.invertibles(data.ring):
             p = currents.profile(data, g)
             for zeta in primitive_angles(p.M):
-                assert (modular.grading(data, p, zeta)
+                assert (modular.grading(p, zeta)
                         == grading_by_monodromy(data, p, zeta))
 
     def test_support_and_commutation_equal_the_monodromy_reference(self, name):
         data = CHARGE_CATEGORIES[name]()
         inv = fusion.invertibles(data.ring)
-        assert list(data.charges) == inv
+        assert list(data.profiles) == inv
         for g in inv:
             p = currents.profile(data, g)
-            assert modular.grading_support(data, p) == support_by_monodromy(data, g) == p.M
+            assert modular.grading_support(p) == support_by_monodromy(data, g) == p.M
             for h in inv:
                 assert (currents.commute_test(data, g, h)
                         == commutes_by_monodromy(data, g, h))
@@ -294,26 +298,46 @@ class TestChargeTable:
     def test_table_is_read_only(self, name):
         data = CHARGE_CATEGORIES[name]()
         with pytest.raises(TypeError):
-            data.charges[0] = ()
-        assert all(isinstance(row, tuple) for row in data.charges.values())
+            data.profiles[0] = data.profiles[0]
+        assert all(isinstance(p.charges, tuple) for p in data.profiles.values())
         with pytest.raises(TypeError):
-            data.charges[0][0] = 1
+            data.profiles[0].charges[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
-            data.charges = {}
+            data.profiles[0].charges = ()
 
 
 class TestChargeTableCache:
     def test_replace_gets_a_fresh_table(self, so8_level2):
         g = so8_level2.ring.index("2L1")
-        before = so8_level2.charges[g]
+        before = so8_level2.profiles[g].charges
         shifted = tuple(t + angle(1, 2) if y == g else t
                         for y, t in enumerate(so8_level2.twist))
         other = dataclasses.replace(so8_level2, twist=shifted)
-        assert other.charges is not so8_level2.charges
+        assert other.profiles is not so8_level2.profiles
         # each monodromy of g but those with the unit and g itself moves by -1/2
-        assert other.charges[g] == tuple(q if x in (0, g) else (q + 1) % 2
-                                         for x, q in enumerate(before))
-        assert so8_level2.charges[g] == before
+        assert other.profiles[g].charges == tuple(q if x in (0, g) else (q + 1) % 2
+                                                  for x, q in enumerate(before))
+        assert so8_level2.profiles[g].charges == before
+
+    def test_each_order_walked_once(self, monkeypatch):
+        # one loop builds each invertible's record, charges included, so
+        # validate walks each order once
+        walked, order = [], fusion.invertible_order
+
+        def counted(ring, g):
+            walked.append(g)
+            return order(ring, g)
+        monkeypatch.setattr(fusion, "invertible_order", counted)
+        data = pointed(6, 6)  # SU(6)_1 x SU(6)_1: 36 invertibles
+        assert walked == fusion.invertibles(data.ring)
+        assert len(walked) == 36
+
+    def test_charges_have_no_default(self, so8_level2):
+        p = so8_level2.profiles[0]
+        fields = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)
+                  if f.name != "charges"}
+        with pytest.raises(TypeError, match="charges"):
+            modular.InvertibleProfile(**fields)
 
     def test_commute_test_requires_both_invertible(self, sl4_level2):
         ring = sl4_level2.ring
