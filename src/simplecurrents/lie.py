@@ -3,26 +3,28 @@
 Everything is driven by the Cartan matrix, so the code is type-agnostic:
 weights are tuples of Dynkin labels (coefficients in the fundamental-weight
 basis) and roots are tuples of coordinates in the simple-root basis.  The
-bilinear form (long roots of squared length 2) is read from one integer form,
-``_root_form``: the Gram matrix of the fundamental weights and each positive
-root's pairing and norm, all times the lcm s of their denominators.  Exact
-results divide by s once; a quantum dimension's sine arguments are P / s for
-integers P, which Python rounds correctly, so they equal float(Fraction(P, s)).
+bilinear form (long roots of squared length 2) is built once, by
+``lie_algebra``, and kept on the frozen spec: the Gram matrix of the
+fundamental weights and each positive root's pairing and norm, all times the
+lcm s of their denominators.  Exact results divide by s once; a quantum
+dimension's sine arguments are P / s for integers P, which Python rounds
+correctly, so they equal float(Fraction(P, s)).
 
 Weight diagrams come from the Freudenthal recursion run over the dominant
 weights of the module only, in integer arithmetic (Moody-Patera), after
 which each dominant weight's Weyl orbit is expanded into the full diagram.
-The expensive pieces (the root form, weight diagrams) are memoized per
-(algebra, highest weight).  All functions are pure; the caches are plain
+The spec is memoized per Cartan type and weight diagrams per (algebra,
+highest weight).  All functions are pure; the caches are plain
 ``functools.lru_cache`` dictionaries, safe under concurrent reads and
 idempotent concurrent inserts.
 
 One loop, ``_chamber``, reflects in the first negative label until none is
-left.  On the Cartan columns it finds a Weyl orbit's dominant weight; on the
-extended Cartan columns, in affine labels (lambda_1, ..., lambda_r, lambda_0
-= k + h_vee - level), it is the Kac-Walton fold into the level-k alcove, and
-a point left on a wall (a zero label) cancels.  Simple currents act on the
-same affine labels, as symmetries of the extended Dynkin diagram.
+left.  On the Cartan columns, ``spec.finite``, it finds a Weyl orbit's
+dominant weight; on the extended Cartan columns, ``spec.extended``, in affine
+labels (lambda_1, ..., lambda_r, lambda_0 = k + h_vee - level), it is the
+Kac-Walton fold into the level-k alcove, and a point left on a wall (a zero
+label) cancels.  Simple currents act on the same affine labels, as
+symmetries of the extended Dynkin diagram.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ class OutOfAlcoveError(ValueError):
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Static data of a simple Lie algebra in the fundamental-weight basis.
+    """Static data of a simple Lie algebra in the fundamental-weight basis,
+    built once per type by :func:`lie_algebra`; every field is a str, an int
+    or a nested tuple of ints.
 
     Attributes
     ----------
@@ -52,27 +56,35 @@ class LieAlgebraSpec:
         Cartan-Killing type, e.g. ("A", 3) for sl_4 or ("D", 4) for so_8.
     cartan : rank x rank integer matrix
         cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i).
-    symmetrizer : diagonal d_i = (alpha_i, alpha_i) / 2
-        Equal to 1 on long roots; rational on short roots.
-    gram : (Lambda_i, Lambda_j), the inverse Cartan matrix times the symmetrizer.
     dual_coxeter : the dual Coxeter number, 1 + sum(comark).
     comark : dual marks of the highest root; a weight lies in the level-k
         alcove iff sum(comark[i] * label[i]) <= k.
-    theta_labels : Dynkin labels of the highest root.
+    theta_labels : Dynkin labels of the highest root theta.
+    scale, scaled_gram : s, the lcm of the denominators of the d_i =
+        (alpha_i, alpha_i) / 2 and of the (Lambda_i, Lambda_j) = d_i (A^-1)_ij,
+        and scaled_gram[i][j] = s (Lambda_i, Lambda_j).
+    roots : (labels, height, pairing, norm) per positive root alpha, by height:
+        sum(mu_i * pairing_i) = s (mu, alpha) and norm = s (alpha, alpha).
+    finite, extended : the simple roots' labels, the Cartan columns and the
+        extended ones over (lambda_1, ..., lambda_r, lambda_0), with alpha_0 =
+        delta - theta last (labels -theta, affine label 2).
     """
 
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
     dual_coxeter: int
     comark: tuple[int, ...]
     theta_labels: tuple[int, ...]
+    scale: int
+    scaled_gram: tuple[tuple[int, ...], ...]
+    roots: tuple[tuple[Weight, int, tuple[int, ...], int], ...]
+    finite: tuple[Weight, ...]
+    extended: tuple[Weight, ...]
 
     def __hash__(self) -> int:
-        # The Cartan type fixes every other field; hashing the Fractions of
-        # the Gram matrix would dominate each cache lookup keyed by the spec.
+        # The Cartan type fixes every other field; hashing the root data
+        # would dominate each cache lookup keyed by the spec.
         return hash((self.family, self.rank))
 
     def __str__(self) -> str:
@@ -161,44 +173,9 @@ def _invert_exact(m: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-@lru_cache(maxsize=None)
-def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
-    """Build the LieAlgebraSpec for the given Cartan-Killing type."""
-    family = family.upper()
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
-    cartan = _cartan_matrix(family, rank)
-    d = _symmetrizer(cartan)
-    # (Lambda_i, Lambda_j): G A = diag(d), hence G = diag(d) A^{-1}.
-    ainv = _invert_exact([[Fraction(x) for x in row] for row in cartan])
-    gram = [[d[i] * ainv[i][j] for j in range(rank)] for i in range(rank)]
-
-    # Highest root and dual marks, from the root system itself.
-    roots = _positive_root_coords(tuple(tuple(r) for r in cartan))
-    theta = max(roots, key=sum)
-    comark = [int(t * x) for t, x in zip(theta, d)]
-    theta_labels = tuple(sum(cartan[k][i] * theta[i] for i in range(rank))
-                         for k in range(rank))
-
-    return LieAlgebraSpec(
-        family=family,
-        rank=rank,
-        cartan=tuple(tuple(row) for row in cartan),
-        symmetrizer=tuple(d),
-        gram=tuple(tuple(row) for row in gram),
-        dual_coxeter=1 + sum(comark),
-        comark=tuple(comark),
-        theta_labels=theta_labels,
-    )
-
-
-# ---------------------------------------------------------------------------
-# roots
-
-
-@lru_cache(maxsize=None)
-def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Positive roots in simple-root coordinates, by root-string closure."""
+def _positive_root_coords(cartan) -> tuple[tuple[int, ...], ...]:
+    """Positive roots in simple-root coordinates, by root-string closure,
+    sorted by height and then by coordinates."""
     rank = len(cartan)
     simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     roots = set(simple)
@@ -228,25 +205,46 @@ def _positive_root_coords(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
 
 
 @lru_cache(maxsize=None)
-def _root_form(spec: LieAlgebraSpec):
-    """The bilinear form scaled to integers: the one root datum of the algebra.
+def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
+    """Build the LieAlgebraSpec of a Cartan-Killing type: the one place the
+    bilinear form is computed."""
+    family = family.upper()
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    cartan = _cartan_matrix(family, rank)
+    d = _symmetrizer(cartan)
+    # (Lambda_i, Lambda_j): G A = diag(d), hence G = diag(d) A^{-1}.
+    ainv = _invert_exact([[Fraction(x) for x in row] for row in cartan])
+    gram = [[d[i] * ainv[i][j] for j in range(rank)] for i in range(rank)]
+    s = math.lcm(*(x.denominator for row in gram for x in row),
+                 *(x.denominator for x in d))
 
-    Returns (s, gram, roots).  s is the lcm of the denominators of spec.gram
-    and spec.symmetrizer, gram[i][j] = s (Lambda_i, Lambda_j), and each
-    positive root alpha, in _positive_root_coords order, gives (labels,
-    height, pairing, norm): its Dynkin labels, its height, the pairing with
-    sum(mu_i * pairing_i) = s (mu, alpha), and norm = s (alpha, alpha).
-    """
-    s = math.lcm(*(x.denominator for row in spec.gram for x in row),
-                 *(d.denominator for d in spec.symmetrizer))
-    gram = tuple(tuple(int(x * s) for x in row) for row in spec.gram)
+    coords = _positive_root_coords(cartan)
     roots = []
-    for c in _positive_root_coords(spec.cartan):
-        labels = tuple(sum(a * x for a, x in zip(row, c)) for row in spec.cartan)
-        pairing = tuple(int(d * s) * x for d, x in zip(spec.symmetrizer, c))
-        roots.append((labels, sum(c), pairing,
-                      sum(p * x for p, x in zip(pairing, labels))))
-    return s, gram, tuple(roots)
+    for c in coords:
+        labels = tuple(sum(map(mul, row, c)) for row in cartan)
+        pairing = tuple(int(di * s) * x for di, x in zip(d, c))
+        roots.append((labels, sum(c), pairing, sum(map(mul, pairing, labels))))
+
+    # Highest root (the one of greatest height, listed last), dual marks, columns.
+    comark = tuple(int(t * x) for t, x in zip(coords[-1], d))
+    theta_labels = roots[-1][0]
+    finite = tuple(zip(*cartan))
+    extended = tuple((*col, -sum(map(mul, comark, col))) for col in finite)
+
+    return LieAlgebraSpec(
+        family=family,
+        rank=rank,
+        cartan=tuple(tuple(row) for row in cartan),
+        dual_coxeter=1 + sum(comark),
+        comark=comark,
+        theta_labels=theta_labels,
+        scale=s,
+        scaled_gram=tuple(tuple(int(x * s) for x in row) for row in gram),
+        roots=tuple(roots),
+        finite=finite,
+        extended=extended + ((*(-t for t in theta_labels), 2),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +262,8 @@ def inner_product(spec: LieAlgebraSpec, lam, mu) -> Fraction:
     """Bilinear form (lam, mu) via the Gram matrix of fundamental weights."""
     lam = _check_weight(spec, lam)
     mu = _check_weight(spec, mu)
-    s, gram, _ = _root_form(spec)
     return Fraction(sum(x * sum(g * y for g, y in zip(row, mu))
-                        for x, row in zip(lam, gram)), s)
+                        for x, row in zip(lam, spec.scaled_gram)), spec.scale)
 
 
 def level(spec: LieAlgebraSpec, lam) -> int:
@@ -310,19 +307,6 @@ def alcove_weights(spec: LieAlgebraSpec, k: int) -> list[Weight]:
 # the chamber fold: one reflection loop for the Weyl chamber and the alcove
 
 
-@lru_cache(maxsize=None)
-def _columns(spec: LieAlgebraSpec) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-    """The labels of the simple roots: (Cartan columns, extended Cartan columns).
-
-    An extended column is over (lambda_1, ..., lambda_r, lambda_0): alpha_i
-    gains the affine label -sum_k comark_k a_ki, and alpha_0 = delta - theta,
-    last, has labels -theta and affine label 2.
-    """
-    finite = tuple(tuple(row[i] for row in spec.cartan) for i in range(spec.rank))
-    extended = tuple((*col, -sum(map(mul, spec.comark, col))) for col in finite)
-    return finite, extended + ((*(-t for t in spec.theta_labels), 2),)
-
-
 def _chamber(columns, xi: Weight) -> tuple[Weight, int]:
     """Reflect xi in its first negative label until none is left; return the
     point and the parity, (-1) to the number of reflections.
@@ -364,8 +348,7 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
     lam = _check_weight(spec, lam)
     if any(x < 0 for x in lam):
         raise ValueError(f"highest weight must be dominant, got {lam}")
-    _, gram, roots = _root_form(spec)
-    finite, _ = _columns(spec)
+    gram, roots, finite = spec.scaled_gram, spec.roots, spec.finite
 
     depth = {lam: 0}  # dominant weights of the module -> height of lam - mu
     stack = [lam]
@@ -432,7 +415,7 @@ def weyl_dimension(spec: LieAlgebraSpec, lam) -> int:
     """Dimension of the irreducible module, by the Weyl product formula."""
     lam = _check_weight(spec, lam)
     num = den = 1
-    for _, _, pairing, _ in _root_form(spec)[2]:
+    for _, _, pairing, _ in spec.roots:
         num *= sum(p * (x + 1) for p, x in zip(pairing, lam))
         den *= sum(pairing)
     dim, rem = divmod(num, den)
@@ -483,8 +466,7 @@ def fusion_with_second_diagram(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter
     by lam + rho; no argument reordering."""
     lam = _alcove_weight(spec, k, lam)
     mu = _alcove_weight(spec, k, mu)
-    _, extended = _columns(spec)
-    comark = spec.comark
+    extended, comark = spec.extended, spec.comark
     shift = tuple(x + 1 for x in lam)
     top = k + spec.dual_coxeter - sum(map(mul, comark, shift))  # lambda_0 of lam + rho
     out: Counter = Counter()
@@ -513,9 +495,9 @@ def quantum_dimension(spec: LieAlgebraSpec, k: int, lam) -> float:
     """Quantum dimension as a sine product over positive roots (float)."""
     lam = _alcove_weight(spec, k, lam)
     kappa = k + spec.dual_coxeter
-    s, _, roots = _root_form(spec)
+    s = spec.scale
     dim = 1.0
-    for _, _, pairing, _ in roots:
+    for _, _, pairing, _ in spec.roots:
         top = sum(p * (x + 1) for p, x in zip(pairing, lam)) / s  # (lam + rho, alpha)
         bottom = sum(pairing) / s                                  # (rho, alpha)
         dim *= math.sin(math.pi * top / kappa) / math.sin(math.pi * bottom / kappa)

@@ -26,6 +26,13 @@ from .lie import LieAlgebraSpec, Weight
 
 QDIM_TOL = 1e-9  # tolerance for the +-1 decisions consuming quantum dimensions
 
+#: Largest number of weights in all the weight diagrams of a build.  The fold
+#: sizes both weights of every pair, (a, a) included, so a build caches the
+#: diagram of every alcove weight: sum(weyl_dimension) weights, at about 250
+#: bytes each (A18 at level 1: 524,287 weights, 157 MB peak).  2^23 weights
+#: is about 2 GB, under a third of a 7 GB machine, as for fusion.MAX_SIMPLES.
+MAX_DIAGRAM_WEIGHTS = 2 ** 23
+
 
 class InconsistentDataError(RuntimeError):
     """Category data violates an identity it is required to satisfy."""
@@ -145,14 +152,20 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     from conformal weights mod 1, quantum dimensions from the sine product.
     The result is cached per (algebra, level); it is frozen, and its ring's
     table is read-only, so no caller can change what later callers get.
-    An alcove of more than fusion.MAX_SIMPLES weights raises
+    An alcove of more than fusion.MAX_SIMPLES weights, or whose weight
+    diagrams hold more than MAX_DIAGRAM_WEIGHTS weights in all, raises
     fusion.TooLargeError before the fold.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     weights = lie.alcove_weights(spec, k)
     n = len(weights)
-    fusion.check_size(n, f"{spec.family}{spec.rank} at level {k}")
+    name = f"{spec} at level {k}"
+    fusion.check_size(n, name)
+    size = sum(lie.weyl_dimension(spec, w) for w in weights)
+    if size > MAX_DIAGRAM_WEIGHTS:
+        raise fusion.TooLargeError(f"{name} has weight diagrams of {size} weights in "
+                                   f"all, more than the limit of {MAX_DIAGRAM_WEIGHTS}")
     index = {w: i for i, w in enumerate(weights)}
     unit = index[(0,) * spec.rank]
 

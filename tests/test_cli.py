@@ -84,6 +84,17 @@ class TestBuildAndLoad:
             f'"rank": 3}}, not the requested {{"family": "A", "level": 2, "rank": 5}}\n')
         assert not out.exists()
 
+    def test_build_refuses_diagrams_too_large(self, tmp_path, capsys):
+        # 31 simples, under MAX_SIMPLES, but 2^31 - 1 weights in their diagrams
+        out = tmp_path / "A30-1.json"
+        assert cli.main(["build", "A", "30", "1", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: A30 at level 1 has weight diagrams of 2147483647 weights in all, "
+            f"more than the limit of {modular.MAX_DIAGRAM_WEIGHTS}\n")
+        assert not out.exists()
+
     def test_load_check_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -37,24 +39,35 @@ def char_multiply_decompose(spec, lam, mu):
     return out
 
 
-# Reference formulas in Fractions, read from the spec's rational Gram matrix
-# and symmetrizer and from the root coordinates, never from lie._root_form.
+# Reference formulas in Fractions, read from a rational Gram matrix built here
+# from the per-type symmetrizer table below and from the root coordinates,
+# never from the spec's integer form (scale, scaled_gram, roots).
+
+
+@lru_cache(maxsize=None)
+def fraction_gram(spec):
+    """(Lambda_i, Lambda_j) = d_i (A^-1)_ij in Fractions, d from the per-type table."""
+    d = _symmetrizer(spec.family, spec.rank)
+    ainv = lie._invert_exact([[Fraction(x) for x in row] for row in spec.cartan])
+    return tuple(tuple(d[i] * x for x in row) for i, row in enumerate(ainv))
 
 
 def ref_inner_product(spec, lam, mu):
-    return sum(x * y * spec.gram[i][j]
+    gram = fraction_gram(spec)
+    return sum(x * y * gram[i][j]
                for i, x in enumerate(lam) for j, y in enumerate(mu))
 
 
+@lru_cache(maxsize=None)
 def ref_roots(spec):
     """(labels, height, dco, norm) per positive root: (mu, alpha) = sum(mu_i dco_i)."""
     out = []
     for c in lie._positive_root_coords(spec.cartan):
         labels = tuple(sum(spec.cartan[k][i] * c[i] for i in range(spec.rank))
                        for k in range(spec.rank))
-        dco = tuple(d * x for d, x in zip(spec.symmetrizer, c))
+        dco = tuple(d * x for d, x in zip(_symmetrizer(spec.family, spec.rank), c))
         out.append((labels, sum(c), dco, sum(d * x for d, x in zip(dco, labels))))
-    return out
+    return tuple(out)
 
 
 def ref_pair(mu, dco):
@@ -71,7 +84,7 @@ def ref_weyl_dimension(spec, lam):
 
 
 def ref_conformal_weight(spec, k, lam):
-    rho_pairing = [2 * sum(row) for row in spec.gram]  # (Lambda_i, 2 rho)
+    rho_pairing = [2 * sum(row) for row in fraction_gram(spec)]  # (Lambda_i, 2 rho)
     quad = ref_inner_product(spec, lam, lam) + sum(x * r for x, r in zip(lam, rho_pairing))
     return quad / (2 * (k + spec.dual_coxeter))
 
@@ -214,15 +227,14 @@ FOLD_TYPES = [("A", r) for r in range(1, 9)] + [
 
 def new_fold(spec, kappa, xi):
     """The alcove fold through lie: (folded point, sign), or (None, 0) on a wall."""
-    _, extended = lie._columns(spec)
-    point, parity = lie._chamber(extended, (*xi, kappa - lie.level(spec, xi)))
+    point, parity = lie._chamber(spec.extended, (*xi, kappa - lie.level(spec, xi)))
     return (None, 0) if 0 in point else (point[:-1], parity)
 
 
 @pytest.mark.parametrize("family,rank", FOLD_TYPES)
 def test_chamber_fold_equals_the_two_old_folds(family, rank):
     spec = lie.lie_algebra(family, rank)
-    finite, _ = lie._columns(spec)
+    finite = spec.finite
     rng = random.Random(f"{family}{rank}")
     cancelled = 0
     for _ in range(2000):
@@ -238,16 +250,17 @@ def test_chamber_fold_equals_the_two_old_folds(family, rank):
 @pytest.mark.parametrize("family,rank", TABLE_TYPES)
 def test_derived_constants_equal_the_old_tables(family, rank):
     spec = lie.lie_algebra(family, rank)
-    assert list(spec.symmetrizer) == _symmetrizer(family, rank)
+    symmetrizer = lie._symmetrizer(spec.cartan)
+    assert symmetrizer == _symmetrizer(family, rank)
     assert spec.dual_coxeter == _DUAL_COXETER[family](rank)
     theta = max(lie._positive_root_coords(spec.cartan), key=sum)
-    assert spec.comark == tuple(t * d for t, d in zip(theta, spec.symmetrizer))
+    assert spec.comark == tuple(t * d for t, d in zip(theta, symmetrizer))
 
 
 @pytest.mark.parametrize("family,rank", TABLE_TYPES)
 def test_extended_cartan_matrix(family, rank):
     spec = lie.lie_algebra(family, rank)
-    finite, extended = lie._columns(spec)
+    finite, extended = spec.finite, spec.extended
     assert finite == tuple(zip(*spec.cartan))
     assert [col[:rank] for col in extended[:rank]] == list(finite)
     theta = max(lie._positive_root_coords(spec.cartan), key=sum)
@@ -260,14 +273,51 @@ def test_extended_cartan_matrix(family, rank):
     assert all(sum(c * x for c, x in zip(comarks, col)) == 0 for col in extended)
 
 
+@pytest.mark.parametrize("family,rank", TABLE_TYPES)
+def test_integer_form_equals_the_fraction_form(family, rank):
+    spec = lie.lie_algebra(family, rank)
+    s, gram, d = spec.scale, fraction_gram(spec), _symmetrizer(family, rank)
+    assert s == math.lcm(*(x.denominator for row in gram for x in row),
+                         *(x.denominator for x in d))
+    assert [[Fraction(x, s) for x in row] for row in spec.scaled_gram] == [list(r) for r in gram]
+    coords = lie._positive_root_coords(spec.cartan)
+    assert len(spec.roots) == len(coords)
+    for (labels, height, pairing, norm), c, ref in zip(spec.roots, coords, ref_roots(spec)):
+        assert (labels, height) == ref[:2]
+        assert [Fraction(p, s) for p in pairing] == [di * ci for di, ci in zip(d, c)]
+        # (alpha, alpha) from (alpha_i, alpha_j) = d_i a_ij
+        assert Fraction(norm, s) == sum(c[i] * c[j] * d[i] * spec.cartan[i][j]
+                                        for i in range(rank) for j in range(rank))
+
+
+@pytest.mark.parametrize("family,rank", TABLE_TYPES)
+def test_spec_is_immutable(family, rank):
+    spec = lie.lie_algebra(family, rank)
+
+    def plain(x):  # an int, a str or a nested tuple of them; no Fraction, no list
+        return all(map(plain, x)) if type(x) is tuple else type(x) in (int, str)
+
+    for f in dataclasses.fields(spec):
+        assert plain(getattr(spec, f.name)), f.name
+    assert hash(spec) == hash((family, rank))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.scale = 1
+
+
 class TestSpecConstruction:
     def test_a3_gram_values(self):
         # (L_i, L_j) = min(i, j) - i*j/n for sl_n
-        assert A3.gram[0][0] == Fraction(3, 4)
-        assert A3.gram[0][2] == Fraction(1, 4)
+        def fundamental(spec, i):
+            return tuple(int(j == i) for j in range(spec.rank))
+
+        def gram(spec, i, j):
+            return lie.inner_product(spec, fundamental(spec, i), fundamental(spec, j))
+
+        assert gram(A3, 0, 0) == Fraction(3, 4)
+        assert gram(A3, 0, 2) == Fraction(1, 4)
         for i in range(5):
             for j in range(5):
-                assert A5.gram[i][j] == Fraction(min(i + 1, j + 1)) - Fraction((i + 1) * (j + 1), 6)
+                assert gram(A5, i, j) == Fraction(min(i + 1, j + 1)) - Fraction((i + 1) * (j + 1), 6)
 
     def test_dual_coxeter_numbers(self):
         assert A3.dual_coxeter == 4

@@ -55,6 +55,23 @@ class TestBuild:
             f"A1 at level {level} has {level + 1} simple objects, "
             f"more than the limit of {fusion.MAX_SIMPLES}")
 
+    def test_diagrams_too_large_refused_before_the_fold(self, monkeypatch):
+        def no_diagram(*args):
+            raise AssertionError("diagram or fold started")
+        monkeypatch.setattr(lie, "fusion_coefficients", no_diagram)
+        monkeypatch.setattr(lie, "weight_multiplicities", no_diagram)
+        # the A_r alcove at level 1 has r + 1 weights, whose dimensions sum to 2^(r+1) - 1
+        with pytest.raises(fusion.TooLargeError) as exc:
+            modular.build_wzw_data(lie.lie_algebra("A", 30), 1)
+        assert str(exc.value) == (
+            "A30 at level 1 has weight diagrams of 2147483647 weights in all, "
+            f"more than the limit of {modular.MAX_DIAGRAM_WEIGHTS}")
+
+    def test_diagram_limit_admits_the_largest_suite_build(self):
+        spec = lie.lie_algebra("A", 3)
+        size = sum(lie.weyl_dimension(spec, w) for w in lie.alcove_weights(spec, 8))
+        assert size == 108_537 <= modular.MAX_DIAGRAM_WEIGHTS
+
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError):
             modular.build_wzw_data(lie.lie_algebra("A", 3), 0)
@@ -360,9 +377,8 @@ def test_built_quantum_dimensions_are_positive_exactly(family, rank, level):
     # the positive roots; with 0 < P < s kappa every factor is positive, so
     # sign(d_g) of built data never rests on the float
     spec = lie.lie_algebra(family, rank)
-    s, _, roots = lie._root_form(spec)
-    bound = s * (level + spec.dual_coxeter)
+    bound = spec.scale * (level + spec.dual_coxeter)
     for lam in lie.alcove_weights(spec, level):
-        for _, _, pairing, _ in roots:
+        for _, _, pairing, _ in spec.roots:
             assert 0 < sum(p * (x + 1) for p, x in zip(pairing, lam)) < bound
         assert lie.quantum_dimension(spec, level, lam) > 0
