@@ -156,9 +156,8 @@ def construct_autoeq(data: ModularCategoryData, g: int,
     """Build the auto-equivalence X -> g^grade(X) (x) X for an admissible zeta."""
     p = profile(data, g)
     require_coprimality(p)
-    admissible = admissible_zetas(p)
-    if zeta not in admissible:
-        raise InadmissibleZetaError(zeta, p.label, admissible)
+    if not (zeta.is_primitive(p.M) and zeta * p.A == p.q_squared):
+        raise InadmissibleZetaError(zeta, p.label, admissible_zetas(p))
     grades = modular.grading(p, zeta)
     pi = data.ring.invertible_permutations[g]
     powers = [groups.identity_perm(data.size)]
@@ -176,7 +175,7 @@ def construct_autoeq(data: ModularCategoryData, g: int,
         A=p.A,
         permutation=perm,
         braided=classify_braided(p, zeta),
-        pivotal=classify_pivotal(data, g),
+        pivotal=data.qdim[g] > 0,  # classify_pivotal, with g gated above
         order_bound=order_bound(p),
     )
 
@@ -215,8 +214,6 @@ def compose(a: CurrentAutoEq, b: CurrentAutoEq) -> Perm:
 def generated_group(autoeqs: list[CurrentAutoEq], cap: int = 1024) -> GroupReport:
     """Permutation-level group generated by the given auto-equivalences;
     ValueError, naming the cap, unless cap >= 1."""
-    if cap < 1:
-        raise ValueError(f"closure cap must be at least 1, got {cap}")
     if not autoeqs:
         raise ValueError("need at least one auto-equivalence")
     ring = autoeqs[0].data.ring

@@ -2,11 +2,14 @@
 
 A ring is a finite list of simple-object labels, a distinguished unit, a dual
 involution, and one read-only int64 table of the fusion rules N^c_{ab}.  All
-arithmetic is exact.  The associativity check runs in float64 matrix products,
-one simple at a time, in a few n^3 arrays: exact while n * max(N)^2 < 2^53,
-which it checks first.  A ring may have at most MAX_SIMPLES simples, so that
-the table and the check fit in memory; larger inputs are refused with
-TooLargeError before any work.
+arithmetic is exact.  Associativity is checked for the simples of a
+generating set only, whose products span the ring: the left nucleus, the a
+with (ab)c = a(bc) for all b and c, is closed under products (the Teichmüller
+identity; R. D. Schafer, An Introduction to Nonassociative Algebras, 1966,
+ch. II).  Each simple takes two float64 matrix products in a few n^3 arrays,
+exact while n * max(N)^2 < 2^53, which is checked first.  A ring may have at
+most MAX_SIMPLES simples, so that the table and the check fit in memory;
+larger inputs are refused with TooLargeError before any work.
 """
 
 from __future__ import annotations
@@ -21,11 +24,18 @@ import numpy as np
 #: Largest simple count of a ring.  The table and the associativity check hold
 #: about four n^3 arrays of 8-byte numbers (the int64 table, its float64 copy
 #: and two products): 32 n^3 bytes, 2.05 GB at n = 400, under a third of a
-#: 7 GB machine.  It admits A3 at level 8 (165 simples, about 150 MB).
+#: 7 GB machine.  Each simple of the generating set costs 2 n^4 flops, so A3
+#: at level 8 (165 simples, about 150 MB, two generators) is checked in well
+#: under a second.
 MAX_SIMPLES = 400
 
 #: Float64 holds every integer below this exactly.
 EXACT_FLOAT_LIMIT = 2 ** 53
+
+#: The prime of ``generating_set``'s span, the largest below 2^26: a dot
+#: product of two length-n vectors reduced mod it stays below n * p^2 < 2^63,
+#: in int64, for n <= MAX_SIMPLES.
+SPAN_PRIME = 67_108_859
 
 
 class NotInvertibleError(ValueError):
@@ -132,10 +142,13 @@ def axiom_violation(ring: FusionRing) -> str | None:
     Associativity, sum_e N^e_{ab} N^d_{ec} = sum_f N^f_{bc} N^d_{af}, is
     checked one a at a time as two float64 matrix products of n^3 entries each,
     so the check needs a few n^3 arrays (the ring has at most MAX_SIMPLES
-    simples).  Every partial sum is an integer of at most n * max(N)^2, so the
-    products are exact when n * max(N)^2 < 2^53; a ring that breaks this bound
-    raises TooLargeError naming n, max(N) and the bound.  A failure names the
-    first (a, b, c, d) in lexicographic order.
+    simples).  Only the a of ``generating_set`` are compared: when they pass,
+    the left nucleus holds every product of them, so all of the ring.  Every
+    partial sum is an integer of at most n * max(N)^2, so the products are
+    exact when n * max(N)^2 < 2^53; a ring that breaks this bound raises
+    TooLargeError naming n, max(N) and the bound.  On a failure every a is
+    compared, and the message names the first (a, b, c, d) in lexicographic
+    order.
     """
     n = ring.size
     u = ring.unit_index
@@ -166,8 +179,66 @@ def axiom_violation(ring: FusionRing) -> str | None:
             f"associativity check is exact only while n * max(N)^2 < 2^53 = "
             f"{EXACT_FLOAT_LIMIT}: n = {n}, max(N) = {top}, n * max(N)^2 = {n * top * top}")
     f = t.astype(np.float64)
+    if _associativity_failure(f, generating_set(ring)) is None:
+        return None
+    return _associativity_failure(f, range(n))  # names the first (a, b, c, d)
+
+
+def generating_set(ring: FusionRing) -> list[int]:
+    """The simples x, in index order, whose e_x lies outside the span of the
+    products of the unit by the earlier ones.
+
+    The span is the closure of e_unit under left multiplication by each x
+    taken, kept as a reduced echelon form mod SPAN_PRIME.  Under the right
+    unit law, N^c_{x,unit} = [x = c], each x taken puts e_x in it, so the
+    span ends as all of F_p^n, and the products of the set have rank n over Q.
+    """
+    n, p = ring.size, SPAN_PRIME
+    basis = np.zeros((0, n), dtype=np.int64)  # rows, identity on the pivot columns
+    pivots: list[int] = []
+    found: list[np.ndarray] = []              # the rows as they were added
+    gens, left = [], []
+
+    def reduce(v):
+        return (v - v[pivots] @ basis) % p
+
+    def add(v):
+        nonlocal basis
+        v = reduce(v)
+        nonzero = np.flatnonzero(v)
+        if nonzero.size:
+            q = int(nonzero[0])
+            v = v * pow(int(v[q]), -1, p) % p
+            basis = np.vstack([(basis - np.outer(basis[:, q], v)) % p, v])
+            pivots.append(q)
+            found.append(v)
+
+    e = np.eye(n, dtype=np.int64)
+    add(e[ring.unit_index])
+    for x in range(n):
+        if len(pivots) == n:
+            break
+        if not reduce(e[x]).any():
+            continue
+        gens.append(x)
+        left.append(ring.table[x] % p)
+        closed = len(found)  # rows closed under the earlier generators
+        for v in found[:closed]:
+            add(v @ left[-1] % p)
+        i = closed
+        while i < len(found):  # each new row, times every generator
+            for m in left:
+                add(found[i] @ m % p)
+            i += 1
+    return gens
+
+
+def _associativity_failure(f: np.ndarray, simples) -> str | None:
+    """The first a in ``simples`` with (ab)c != a(bc) for some b, c, named with
+    the first such (b, c, d), from the float64 table f; None if there is none."""
+    n = len(f)
     by_e, by_f = f.reshape(n, n * n), f.reshape(n * n, n)
-    for a in range(n):
+    for a in simples:
         lhs = (f[a] @ by_e).reshape(n, n, n)  # [b, c, d] = sum_e N^e_{ab} N^d_{ec}
         rhs = (by_f @ f[a]).reshape(n, n, n)  # [b, c, d] = sum_f N^f_{bc} N^d_{af}
         if not np.array_equal(lhs, rhs):

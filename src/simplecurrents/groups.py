@@ -40,7 +40,11 @@ def perm_order(p: Perm) -> int:
 
 def close_under_composition(perms: list[Perm], cap: int = 1024) -> list[Perm]:
     """Group generated by the given permutations, as a sorted element list
-    (breadth-first from the identity, multiplying by generators on the left)."""
+    (breadth-first from the identity, multiplying by generators on the left).
+    ValueError, naming the cap, unless cap >= 1; ClosureCapExceededError once
+    the closure holds more than cap elements."""
+    if cap < 1:
+        raise ValueError(f"closure cap must be at least 1, got {cap}")
     if not perms:
         raise ValueError("need at least one generator")
     n = len(perms[0])

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from . import fusion, lie
+from . import fusion, groups, lie
 from .angles import RationalAngle
 from .fusion import FusionRing
 from .lie import LieAlgebraSpec, Weight
@@ -148,8 +148,9 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     """Modular data of the level-k category attached to a simple Lie algebra.
 
     Simple objects are the level-k alcove weights in lexicographic order
-    (unit first); the fusion tensor comes from the Kac-Walton fold, twists
-    from conformal weights mod 1, quantum dimensions from the sine product.
+    (unit first); the fusion tensor comes from the Kac-Walton fold, one pair
+    per orbit of the simple currents (see _orbit_fold), twists from conformal
+    weights mod 1, quantum dimensions from the sine product.
     The result is cached per (algebra, level); it is frozen, and its ring's
     table is read-only, so no caller can change what later callers get.
     An alcove of more than fusion.MAX_SIMPLES weights, or whose weight
@@ -166,15 +167,8 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     if size > MAX_DIAGRAM_WEIGHTS:
         raise fusion.TooLargeError(f"{name} has weight diagrams of {size} weights in "
                                    f"all, more than the limit of {MAX_DIAGRAM_WEIGHTS}")
-    index = {w: i for i, w in enumerate(weights)}
-    unit = index[(0,) * spec.rank]
-
-    tensor: dict[tuple[int, int], dict[int, int]] = {}
-    for a in range(n):
-        for b in range(a, n):
-            prod = lie.fusion_coefficients(spec, k, weights[a], weights[b])
-            tensor[(a, b)] = tensor[(b, a)] = {index[w]: m for w, m in prod.items()}
-
+    tensor, _ = _orbit_fold(spec, k, weights)
+    unit = weights.index((0,) * spec.rank)
     # an a with no partner keeps itself, and validate's duality law refuses it
     dual = [next((b for b in range(n) if unit in tensor[(a, b)]), a) for a in range(n)]
     ring = FusionRing(
@@ -196,6 +190,52 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     )
     validate(data)
     return data
+
+
+def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight]):
+    """The fusion tensor {(a, b): {c: N^c_{ab}}} over every pair of alcove
+    weights, and G, the group of fusion permutations of the simple currents
+    found by the fold, as a list that starts with the identity.
+
+    Each k Lambda_j of comark 1 not yet in G is folded with every weight, and
+    its permutation joins G when each product is one simple of multiplicity
+    1 (E8, F4 and G2 have no such node, and G stays trivial).  Then each pair
+    a <= b not yet filled is folded once, and its result fills its orbit under
+    G x G and the swap: N_{Ja,Kb}^{JKc} = N_{ab}^c (J. Fuchs, Simple WZW
+    currents, Commun. Math. Phys. 136, 1991).  validate checks the table.
+    """
+    n = len(weights)
+    index = {w: i for i, w in enumerate(weights)}
+    unit = index[(0,) * spec.rank]
+
+    def fold(a, b):
+        prod = lie.fusion_coefficients(spec, k, weights[a], weights[b])
+        return {index[w]: m for w, m in prod.items()}
+
+    tensor: dict[tuple[int, int], dict[int, int]] = {}
+    generators = [tuple(range(n))]
+    group = generators
+    for j in range(spec.rank):
+        if spec.comark[j] != 1:
+            continue
+        g = index[tuple(k * (i == j) for i in range(spec.rank))]
+        if any(perm[unit] == g for perm in group):
+            continue
+        row = [fold(g, x) for x in range(n)]
+        for x, fiber in enumerate(row):
+            tensor[(g, x)] = tensor[(x, g)] = fiber
+        if all(list(fiber.values()) == [1] for fiber in row):
+            generators.append(tuple(next(iter(fiber)) for fiber in row))
+            group = groups.close_under_composition(generators)
+    for a in range(n):
+        for b in range(a, n):
+            if (a, b) not in tensor:
+                prod = fold(a, b)
+                for J in group:
+                    for K in group:
+                        fiber = {J[K[c]]: m for c, m in prod.items()}
+                        tensor[(J[a], K[b])] = tensor[(K[b], J[a])] = fiber
+    return tensor, group
 
 
 # ---------------------------------------------------------------------------

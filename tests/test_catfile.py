@@ -118,7 +118,8 @@ MALFORMED = [pytest.param(payload, message, id=name) for name, payload, message 
 
 # sha256 of the canonical category file of each build, recorded when weight
 # diagrams came from the Freudenthal recursion over every weight in Fractions
-# (A3 k=6 when associativity was still checked by a dense n^4 einsum)
+# (A3 k=6 when associativity was still checked by a dense n^4 einsum, A3 k=8
+# when every pair was folded and associativity checked for every simple)
 GOLDEN_SHA256 = {
     ("A", 3, 2): "2d6de9d04ff32a56dde67b44db7c4f85aa9adcad031a011c6579d290b0771ec1",
     ("A", 5, 2): "069c2cdcef633604b99c3a7de16cd6aec24cf314d87a9e843fdb3d4080a1f281",
@@ -130,6 +131,7 @@ GOLDEN_SHA256 = {
     ("E", 6, 2): "87d3ddb3c1bfa24db8a754b065b379971a4e1aae732e6e3616b8fe929951d307",
     ("E", 8, 2): "e8b1b3a4e1f920f7fc9c36658e9f2c4df02bf48e03ea1dad93c30034bf740b5f",
     ("A", 3, 6): "659f1d717ea1d3a59c22a98d89b3d4cb3b48e170d77a643a3f8c81eb7d391087",
+    ("A", 3, 8): "ce65aa3fc2ed1bb3937344eb380e62124ee4ac27ad3be8ae56bd647aec95834e",
 }
 
 

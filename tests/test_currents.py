@@ -178,6 +178,37 @@ class TestGates:
             monkeypatch.undo()
             assert made == fusion.invertibles(data.ring)
 
+    def counted_calls(self, monkeypatch):
+        """Count the calls of fusion.fuse_permutation and currents.admissible_zetas."""
+        calls = {}
+        for module, name in [(fusion, "fuse_permutation"), (currents, "admissible_zetas")]:
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            calls[name] = 0
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_construction_gates_once_and_lists_no_zetas(self, sl6_level2, monkeypatch):
+        ring = sl6_level2.ring
+        calls = self.counted_calls(monkeypatch)
+        construct_autoeq(sl6_level2, ring.index("2L2"), angle(2, 3))
+        assert calls == {"fuse_permutation": 1, "admissible_zetas": 0}
+        with pytest.raises(InadmissibleZetaError) as exc:
+            construct_autoeq(sl6_level2, ring.index("2L2"), angle(1, 3))
+        assert exc.value.admissible == [angle(2, 3)]
+        assert calls == {"fuse_permutation": 2, "admissible_zetas": 1}
+
+    def test_all_autoequivalences_lists_zetas_once_per_object(self, example_categories,
+                                                             monkeypatch):
+        for data in example_categories.values():
+            passing = [p for p in data.profiles.values()
+                       if currents.exists_autoequivalence(p)]
+            calls = self.counted_calls(monkeypatch)
+            aes = all_autoequivalences(data)
+            monkeypatch.undo()
+            assert calls == {"fuse_permutation": len(aes), "admissible_zetas": len(passing)}
+
     def test_no_admissible_zeta_names_the_object(self):
         # the gate passes, yet no primitive square root of unity squares to 1/3
         p = InvertibleProfile(g=0, label="g", M=2, q=angle(1, 6), q_squared=angle(1, 3), A=2,

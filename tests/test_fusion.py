@@ -7,6 +7,7 @@ import pytest
 
 from simplecurrents import fusion, lie, modular
 from simplecurrents.fusion import FusionRing, NotInvertibleError, TooLargeError
+from test_catfile import ising_payload, semion_payload, z2xz2_payload
 
 
 def trivial_ring():
@@ -76,6 +77,23 @@ def einsum_violation(ring):
             f"{lhs[a, b, c, d]} != {rhs[a, b, c, d]}")
 
 
+def full_loop_violation(ring):
+    """The per-a float64 comparison over every simple that the generating-set
+    check replaced, kept as its oracle: the first failing (a, b, c, d), or None."""
+    t = ring.table
+    n = ring.size
+    f = t.astype(np.float64)
+    by_e, by_f = f.reshape(n, n * n), f.reshape(n * n, n)
+    for a in range(n):
+        lhs = (f[a] @ by_e).reshape(n, n, n)
+        rhs = (by_f @ f[a]).reshape(n, n, n)
+        if not np.array_equal(lhs, rhs):
+            b, c, d = map(int, np.argwhere(lhs != rhs)[0])
+            return (f"associativity fails at (a,b,c,d)=({a},{b},{c},{d}): "
+                    f"{int(lhs[b, c, d])} != {int(rhs[b, c, d])}")
+    return None
+
+
 def ring_with_table(ring, table):
     tensor = {}
     for (a, b, c), m in zip(np.argwhere(table).tolist(), table[table != 0].tolist()):
@@ -100,6 +118,14 @@ def deligne_product(r, s):
     return ring_with_table(product, table)
 
 
+def payload_ring(payload):
+    """The fusion ring of a category-file payload, with no other check."""
+    tensor = {}
+    for a, b, c, m in payload["fusion"]:
+        tensor.setdefault((a, b), {})[c] = m
+    return FusionRing(payload["simples"], 0, payload["dual"], tensor)
+
+
 def built_ring(family, rank, level):
     return modular.build_wzw_data(lie.lie_algebra(family, rank), level).ring
 
@@ -115,6 +141,14 @@ class TestAssociativityOracle:
         ring = built_ring(family, rank, level)
         assert fusion.axiom_violation(ring) is None
         assert einsum_violation(ring) is None
+        assert full_loop_violation(ring) is None
+
+    @pytest.mark.parametrize("family,rank,level", [("A", 2, 10), ("A", 1, 40), ("A", 3, 6),
+                                                   ("D", 5, 2), ("G", 2, 3), ("F", 4, 2)])
+    def test_agrees_with_the_full_loop_on_larger_built_rings(self, family, rank, level):
+        ring = built_ring(family, rank, level)
+        assert fusion.axiom_violation(ring) is None
+        assert full_loop_violation(ring) is None
 
     @pytest.mark.parametrize("make,seed,trials", [
         (lambda: built_ring("A", 3, 2), 1, 40),
@@ -140,9 +174,16 @@ class TestAssociativityOracle:
                 table[a, b, c] += 1 if table[a, b, c] == 0 or rng.random() < 0.5 else -1
             bad = ring_with_table(ring, table)
             msg = fusion.axiom_violation(bad)
-            assert msg == einsum_violation(bad)
+            assert msg == einsum_violation(bad) == full_loop_violation(bad)
             failures += msg is not None
         assert failures == trials
+
+    @pytest.mark.parametrize("payload", [ising_payload, semion_payload, z2xz2_payload])
+    def test_agrees_with_einsum_on_file_rings(self, payload):
+        ring = payload_ring(payload())
+        assert fusion.axiom_violation(ring) is None
+        assert einsum_violation(ring) is None
+        assert full_loop_violation(ring) is None
 
     def test_exact_just_below_the_float_bound(self):
         # n * max(N)^2 = 2 * (2^26 - 1)^2 < 2^53, and 1 + m^2 is summed exactly
@@ -169,6 +210,100 @@ class TestAssociativityOracle:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+def relabelled(ring, perm):
+    """The same ring with simple x moved to index perm[x]."""
+    n, p = ring.size, list(perm)
+    simples, dual = [None] * n, [None] * n
+    for x in range(n):
+        simples[p[x]] = ring.simples[x]
+        dual[p[x]] = p[ring.dual[x]]
+    table = np.zeros_like(ring.table)
+    table[np.ix_(p, p, p)] = ring.table
+    return ring_with_table(FusionRing(simples, p[ring.unit_index], dual, {}), table)
+
+
+class TestGeneratingSet:
+    @pytest.mark.parametrize("family,rank,level,labels", [
+        ("A", 2, 10, ["L2"]), ("A", 1, 40, ["L1"]), ("A", 3, 8, ["L3", "2L3"]),
+        ("D", 4, 2, ["L4", "2L4", "L3", "L3+L4"]), ("E", 8, 2, ["L7"])])
+    def test_built_rings(self, family, rank, level, labels):
+        ring = built_ring(family, rank, level)
+        assert [ring.simples[x] for x in fusion.generating_set(ring)] == labels
+
+    def test_trivial_ring_has_no_generator(self):
+        ring = trivial_ring()
+        assert fusion.generating_set(ring) == []
+        assert fusion.axiom_violation(ring) is None
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 2 ** 26 - 1])
+    def test_rank2_rings_need_their_one_other_simple(self, m):
+        # x (x) x = 1 + m x: every table with the unit and duality laws is associative
+        ring = rank2_ring(m)
+        assert fusion.generating_set(ring) == [1]
+        assert fusion.axiom_violation(ring) is None
+        assert full_loop_violation(ring) is None
+
+    def test_unit_not_at_index_0(self, sl4_level2):
+        n = sl4_level2.size
+        ring = relabelled(sl4_level2.ring, [(x + 3) % n for x in range(n)])
+        assert ring.unit_index == 3 and ring.unit_index not in fusion.generating_set(ring)
+        assert fusion.axiom_violation(ring) is None
+        rng = np.random.default_rng(6)
+        others = [x for x in range(n) if x != ring.unit_index]
+        for _ in range(20):
+            table = ring.table.copy()
+            a, b, c = rng.choice(others, size=3)
+            table[a, b, c] += 1
+            bad = ring_with_table(ring, table)
+            msg = fusion.axiom_violation(bad)
+            assert msg is not None and msg == einsum_violation(bad) == full_loop_violation(bad)
+
+    def compared(self, monkeypatch, ring):
+        """The simples each per-a comparison of axiom_violation(ring) walked."""
+        checked, compare = [], fusion._associativity_failure
+
+        def recorded(f, simples):
+            checked.append(list(simples))
+            return compare(f, simples)
+        monkeypatch.setattr(fusion, "_associativity_failure", recorded)
+        fusion.axiom_violation(ring)
+        return checked
+
+    def test_associative_ring_compares_only_the_generators(self, monkeypatch):
+        ring = built_ring("A", 2, 10)
+        assert self.compared(monkeypatch, ring) == [[ring.index("L2")]]
+
+    def test_failure_reruns_every_simple(self, monkeypatch, sl4_level2):
+        ring = sl4_level2.ring
+        table = ring.table.copy()
+        x, y = ring.index("L1"), ring.index("L2")
+        table[x, y, y] += 1
+        table[y, x, y] += 1
+        bad = ring_with_table(ring, table)
+        assert self.compared(monkeypatch, bad) == [fusion.generating_set(bad),
+                                                    list(range(ring.size))]
+        assert fusion.axiom_violation(bad) == einsum_violation(bad) == full_loop_violation(bad)
+
+    def test_failure_at_a_later_generator(self, sl4_level2):
+        # 0 x is the first generator of S x R and lies in the left nucleus
+        # whatever S is, so a non-associative S fails only at later ones
+        ring = sl4_level2.ring
+        table = ring.table.copy()
+        x, y = ring.index("L1"), ring.index("L2")
+        table[x, y, y] += 1
+        table[y, x, y] += 1
+        product = deligne_product(ring_with_table(ring, table), rank2_ring(1))
+        assert fusion.generating_set(product)[0] == 1
+        msg = fusion.axiom_violation(product)
+        assert msg is not None and not msg.startswith("associativity fails at (a,b,c,d)=(1,")
+        assert msg == einsum_violation(product) == full_loop_violation(product)
+
+    def test_span_prime_keeps_int64_dot_products_exact(self):
+        p = fusion.SPAN_PRIME
+        assert all(p % q for q in range(2, int(p ** 0.5) + 1))
+        assert p < 2 ** 26 and fusion.MAX_SIMPLES * p * p < 2 ** 63
 
 
 class TestInvertibles:

@@ -124,12 +124,19 @@ class TestClosureAgainstReference:
     @pytest.mark.parametrize("gens", [[(1, 0, 2, 3), (1, 2, 3, 0)], dihedral_generators(8)])
     def test_same_cap_error(self, gens):
         size = len(reference_closure(gens))
-        for cap in (0, 1, size - 1):
+        for cap in (1, size - 1):
             with pytest.raises(ClosureCapExceededError, match=f"cap of {cap} elements"):
                 close_under_composition(gens, cap=cap)
             with pytest.raises(ClosureCapExceededError, match=f"cap of {cap} elements"):
                 reference_closure(gens, cap=cap)
         assert close_under_composition(gens, cap=size) == reference_closure(gens, cap=size)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_refused(self, cap):
+        with pytest.raises(ValueError) as exc:
+            close_under_composition([(1, 0)], cap=cap)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"closure cap must be at least 1, got {cap}"
 
 
 class TestIsomorphismType:

@@ -382,3 +382,70 @@ def test_built_quantum_dimensions_are_positive_exactly(family, rank, level):
         for _, _, pairing, _ in spec.roots:
             assert 0 < sum(p * (x + 1) for p, x in zip(pairing, lam)) < bound
         assert lie.quantum_dimension(spec, level, lam) > 0
+
+
+def full_fold(spec, level):
+    """The fold of every pair a <= b that the orbit fill replaced, kept as its
+    oracle: {(a, b): {c: N^c_{ab}}} over every pair of alcove weights."""
+    weights = lie.alcove_weights(spec, level)
+    index = {w: i for i, w in enumerate(weights)}
+    tensor = {}
+    for a in range(len(weights)):
+        for b in range(a, len(weights)):
+            prod = lie.fusion_coefficients(spec, level, weights[a], weights[b])
+            tensor[(a, b)] = tensor[(b, a)] = {index[w]: m for w, m in prod.items()}
+    return tensor
+
+
+# every golden-hash category, and one or more of each other type
+FOLD_CATEGORIES = sorted({*GOLDEN_SHA256, ("D", 5, 2), ("E", 7, 2), ("A", 1, 40),
+                          ("A", 2, 10), ("G", 2, 3), ("F", 4, 2)})
+
+
+class TestOrbitFold:
+    @pytest.mark.parametrize("family,rank,level", FOLD_CATEGORIES)
+    def test_filled_table_equals_the_full_fold(self, family, rank, level):
+        spec = lie.lie_algebra(family, rank)
+        ring = modular.build_wzw_data(spec, level).ring
+        assert ring.tensor == full_fold(spec, level)
+
+    @pytest.mark.parametrize("family,rank,level", FOLD_CATEGORIES)
+    def test_group_is_the_invertible_permutations(self, family, rank, level):
+        spec = lie.lie_algebra(family, rank)
+        _, group = modular._orbit_fold(spec, level, lie.alcove_weights(spec, level))
+        data = modular.build_wzw_data(spec, level)
+        perms = data.ring.invertible_permutations
+        if (family, rank, level) == ("E", 8, 2):
+            # the one exception: no comark is 1, yet one 3875-dim object is invertible
+            assert group == [tuple(range(3))] and 1 not in spec.comark
+            assert [lie.weyl_dimension(spec, data.weights[g]) for g in perms] == [1, 3875]
+        else:
+            assert group[0] == tuple(range(len(group[0])))
+            assert sorted(group) == sorted(perms.values())
+
+    def test_fold_count_of_a2_level_10(self, monkeypatch):
+        spec, calls = lie.lie_algebra("A", 2), []
+        fold = lie.fusion_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+        monkeypatch.setattr(lie, "fusion_coefficients", counted)
+        tensor, group = modular._orbit_fold(spec, 10, lie.alcove_weights(spec, 10))
+        assert len(tensor) == 66 ** 2 and len(group) == 3
+        assert len(calls) <= 319  # of the 2211 pairs a <= b
+
+    def test_rejected_candidates_fold_once(self, monkeypatch):
+        # every comark of C3 is 1, but of 3 L1, 3 L2 and 3 L3 at level 3 only
+        # 3 L3 is a current; the rows of the other two stay in the table
+        spec, calls = lie.lie_algebra("C", 3), []
+        fold = lie.fusion_coefficients
+
+        def counted(spec, k, lam, mu):
+            calls.append((lam, mu))
+            return fold(spec, k, lam, mu)
+        monkeypatch.setattr(lie, "fusion_coefficients", counted)
+        _, group = modular._orbit_fold(spec, 3, lie.alcove_weights(spec, 3))
+        assert spec.comark == (1, 1, 1) and len(group) == 2
+        assert len(calls) == len(set(calls))
+        assert {(3, 0, 0), (0, 3, 0), (0, 0, 3)} <= {lam for lam, _ in calls}
