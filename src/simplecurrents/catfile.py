@@ -14,12 +14,15 @@ Schema (version 1, keys sorted, UTF-8):
 
 External files (source = "external") let non-level-k data, e.g. an Ising
 category, exercise the auto-equivalence machinery; they go through exactly
-the same validation as built files.
+the same validation as built files.  This module checks only the encoding:
+``FusionRing`` checks each fusion entry, ``modular.validate`` the list lengths
+and every identity, and each refusal reaches the caller as CategoryFileError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import fusion, lie, modular
 from .angles import RationalAngle
-from .fusion import FusionRing
+from .fusion import FusionRing, is_int
 from .modular import ModularCategoryData
 
 SCHEMA_VERSION = 1
@@ -56,18 +59,13 @@ def dumps_canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
 
 
-def _is_int(x) -> bool:
-    """A JSON integer; bools and floats are refused, not read as ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _ints(length: int):
-    return lambda x: isinstance(x, list) and len(x) == length and all(map(_is_int, x))
+    return lambda x: isinstance(x, list) and len(x) == length and all(map(is_int, x))
 
 
 def _is_finite(x) -> bool:
     # false for NaN, the infinities and ints beyond the float range
-    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+    return (is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _entries(payload: dict, key: str, ok, what: str) -> list:
@@ -81,8 +79,28 @@ def _entries(payload: dict, key: str, ok, what: str) -> list:
     return raw
 
 
+def wzw_source(family: str, rank: int, level: int) -> dict:
+    """The source record of a built level-k category file."""
+    return {"family": family.upper(), "rank": rank, "level": level}
+
+
+def _check_source(source) -> None:
+    if source == "external":
+        return
+    if not isinstance(source, dict) or set(source) != {"family", "rank", "level"}:
+        raise CategoryFileError('source must be "external" or {"family", "rank", "level"}')
+    if source["family"] not in tuple("ABCDEFG"):
+        raise CategoryFileError(
+            f'source family must be one of "A" to "G", got {source["family"]!r}')
+    for key in ("rank", "level"):
+        if not (is_int(source[key]) and source[key] > 0):
+            raise CategoryFileError(
+                f"source {key} must be a positive integer, got {source[key]!r}")
+
+
 def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
-    """Validate a payload and rebuild the category data; raises CategoryFileError."""
+    """Check the encoding, the source first, then build the ring and validate it
+    (see the module docstring for who checks what); raises CategoryFileError."""
     if not isinstance(payload, dict):
         raise CategoryFileError(
             f"category payload must be a JSON object, got {type(payload).__name__}")
@@ -91,12 +109,9 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
             raise CategoryFileError(
                 f"unsupported schema_version {payload.get('schema_version')!r}")
         source = payload["source"]
-        if source != "external" and (not isinstance(source, dict)
-                                     or set(source) != {"family", "rank", "level"}):
-            raise CategoryFileError(
-                'source must be "external" or {"family", "rank", "level"}')
+        _check_source(source)
         simples = _entries(payload, "simples", lambda x: isinstance(x, str), "a string")
-        dual = _entries(payload, "dual", _is_int, "an integer")
+        dual = _entries(payload, "dual", is_int, "an integer")
         quads = _entries(payload, "fusion", _ints(4), "four integers [a, b, c, N]")
         twists_raw = _entries(payload, "twists", _ints(2), "two integers [num, den]")
         qdims = [float(x) for x in
@@ -104,45 +119,30 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
     except KeyError as exc:
         raise CategoryFileError(f"malformed category payload: missing {exc}") from None
 
-    n = len(simples)
-    if n == 0:
-        raise CategoryFileError("category must have at least one simple object")
     try:
-        fusion.check_size(n, "category file")
+        fusion.check_size(len(simples), "category file")
     except fusion.TooLargeError as exc:
         raise CategoryFileError(str(exc)) from None
-    if len(set(simples)) != n:
+    if len(set(simples)) != len(simples):
         raise CategoryFileError("simple labels must be distinct")
-    if len(dual) != n or len(twists_raw) != n or len(qdims) != n:
-        raise CategoryFileError("dual/twists/qdims lengths must equal the simple count")
-
+    for num, den in twists_raw:
+        if not (0 <= num < den and math.gcd(num, den) == 1):
+            raise CategoryFileError(
+                f"twist [{num},{den}] must be stored reduced with 0 <= num < den")
     tensor: dict[tuple[int, int], dict[int, int]] = {}
     for a, b, c, m in quads:
-        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-            raise CategoryFileError(f"fusion quadruple {[a, b, c, m]} out of range")
-        if not 1 <= m < 2 ** 63:  # the table holds int64
-            raise CategoryFileError(f"fusion multiplicity must be in [1, 2^63), got {m}")
+        if m == 0:
+            raise CategoryFileError(f"zero fusion entry for ({a},{b},{c})")
         fiber = tensor.setdefault((a, b), {})
         if c in fiber:
             raise CategoryFileError(f"duplicate fusion entry for ({a},{b},{c})")
         fiber[c] = m
-
-    twists = []
-    for num, den in twists_raw:
-        try:
-            t = RationalAngle(num, den)
-        except ValueError as exc:
-            raise CategoryFileError(str(exc)) from None
-        if t.pair != (num, den):
-            raise CategoryFileError(
-                f"twist [{num},{den}] must be stored reduced with 0 <= num < den")
-        twists.append(t)
-
-    ring = FusionRing(simples=simples, unit_index=0, dual=dual, tensor=tensor)
-    data = ModularCategoryData(ring=ring, twist=tuple(twists), qdim=tuple(qdims))
     try:
+        ring = FusionRing(simples=simples, unit_index=0, dual=dual, tensor=tensor)
+        data = ModularCategoryData(ring=ring, qdim=tuple(qdims),
+                                   twist=tuple(RationalAngle(*t) for t in twists_raw))
         modular.validate(data)
-    except (modular.InconsistentDataError, fusion.TooLargeError) as exc:
+    except (ValueError, modular.InconsistentDataError) as exc:  # TooLargeError included
         raise CategoryFileError(str(exc)) from None
     return data, source
 
@@ -167,9 +167,7 @@ def load_category(path) -> tuple[ModularCategoryData, object]:
 def build_category_file(family: str, rank: int, level: int,
                         out_path=None) -> ModularCategoryData:
     """Build a level-k category and optionally persist it."""
-    spec = lie.lie_algebra(family, rank)
-    data = modular.build_wzw_data(spec, level)
+    data = modular.build_wzw_data(lie.lie_algebra(family, rank), level)
     if out_path is not None:
-        save_category(out_path, data,
-                      {"family": spec.family, "rank": rank, "level": level})
+        save_category(out_path, data, wzw_source(family, rank, level))
     return data

@@ -47,11 +47,6 @@ def render_angle(a: RationalAngle) -> str:
     return f"{a} ({sym})" if sym else f"{a} (e^(2*pi*i*{a}))"
 
 
-def _load(path: str):
-    data, source = catfile.load_category(path)
-    return data
-
-
 def _resolve_simple(data, label: str) -> int:
     if label == "unit":
         return data.ring.unit_index
@@ -68,38 +63,37 @@ def _resolve_simple(data, label: str) -> int:
 
 
 def cmd_build(args) -> int:
-    data = _cached_build(args.family, args.rank, args.level, args.cache_dir)
-    catfile.save_category(args.out, data, {
-        "family": args.family.upper(), "rank": args.rank, "level": args.level})
-    print(f"built {args.family.upper()}{args.rank} level {args.level}: "
+    """Write -o once; a cache miss copies it into --cache-dir, made if missing."""
+    source = catfile.wzw_source(args.family, args.rank, args.level)
+    name = f"{args.family}{args.rank}-{args.level}.json"
+    cache = args.cache_dir and Path(args.cache_dir, name)
+    if cache:
+        cache.parent.mkdir(parents=True, exist_ok=True)
+    if cache and cache.exists():
+        data, cached = catfile.load_category(cache)
+        if cached != source:
+            raise CategoryFileError(
+                f"cached file {cache} has source {json.dumps(cached, sort_keys=True)}, "
+                f"not the requested {json.dumps(source, sort_keys=True)}")
+        catfile.save_category(args.out, data, source)
+    else:
+        data = catfile.build_category_file(args.family, args.rank, args.level,
+                                           out_path=args.out)
+        if cache:
+            cache.write_bytes(Path(args.out).read_bytes())
+    print(f"built {args.family}{args.rank} level {args.level}: "
           f"{data.size} simple objects -> {args.out}")
     return EXIT_OK
 
 
-def _cached_build(family: str, rank: int, level: int, cache_dir: str | None):
-    if cache_dir:
-        cache = Path(cache_dir) / f"{family.upper()}{rank}-{level}.json"
-        if cache.exists():
-            data, source = catfile.load_category(cache)
-            request = {"family": family.upper(), "rank": rank, "level": level}
-            if source != request:
-                raise CategoryFileError(
-                    f"cached file {cache} has source {json.dumps(source, sort_keys=True)}, "
-                    f"not the requested {json.dumps(request, sort_keys=True)}")
-            return data
-        data = catfile.build_category_file(family, rank, level, out_path=cache)
-        return data
-    return catfile.build_category_file(family, rank, level)
-
-
 def cmd_load_check(args) -> int:
-    data = _load(args.path)
+    data, _ = catfile.load_category(args.path)
     print(f"OK: {args.path} validates ({data.size} simple objects)")
     return EXIT_OK
 
 
 def cmd_invertibles(args) -> int:
-    data = _load(args.path)
+    data, _ = catfile.load_category(args.path)
     rows = [(p.label, p.M, render_angle(p.q), p.A,
              "yes" if currents.exists_autoequivalence(p) else "no")
             for p in data.profiles.values() if p.g != data.ring.unit_index]
@@ -131,7 +125,7 @@ def _autoeq_record(data, ae, p) -> dict:
 
 
 def cmd_autoeq(args) -> int:
-    data = _load(args.path)
+    data, _ = catfile.load_category(args.path)
     g = _resolve_simple(data, args.g)
     p = currents.profile(data, g)
     if args.zeta is not None:
@@ -147,7 +141,7 @@ def cmd_autoeq(args) -> int:
 
 
 def cmd_group(args) -> int:
-    data = _load(args.path)
+    data, _ = catfile.load_category(args.path)
     if not args.generators:
         print("group: trivial")
         print(f"note: {currents.PERMUTATION_LEVEL_CAVEAT}")

@@ -53,6 +53,22 @@ def check_size(n: int, what: str) -> None:
                             f"of {MAX_SIMPLES}")
 
 
+def is_int(x) -> bool:
+    """A Python or numpy integer; a bool, like any other subclass of int, is not one."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _check_entry(a, b, c, m, n: int) -> None:
+    """ValueError naming (a, b, c) unless a, b, c are in range(n) and m is an integer."""
+    if not all(map(is_int, (a, b, c))):
+        raise ValueError(f"fusion key (a, b, c) = ({a!r}, {b!r}, {c!r}) must be integers")
+    if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+        raise ValueError(f"fusion key (a, b, c) = ({a}, {b}, {c}) is outside [0, {n})")
+    if not is_int(m):
+        raise ValueError(f"fusion multiplicity at (a, b, c) = ({a}, {b}, {c}) "
+                         f"must be an integer, got {m!r}")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class FusionRing:
     """A frozen fusion ring over an ordered set of simple objects.
@@ -60,10 +76,10 @@ class FusionRing:
     Built from a sparse ``tensor`` {(a, b): {c: N^c_{ab}}} and kept only as the
     read-only int64 ``table`` T[a, b, c] = N^c_{ab}, so every query is read-only
     and thread-safe.  Rings are equal when labels, unit, dual and table are.
-    More than MAX_SIMPLES simples raise TooLargeError, and a key a, b or c
-    outside [0, n) or a multiplicity that is not an integer (a bool or a float
-    included) raises ValueError, before the table is allocated or filled.
-    Negative multiplicities are kept, for axiom_violation to report.
+    More than MAX_SIMPLES simples raise TooLargeError.  This is the one check of
+    each fusion entry: a key outside the integers [0, n) or a multiplicity
+    outside the int64 integers, a bool included, raises ValueError naming
+    (a, b, c).  Negative multiplicities are kept, for axiom_violation to report.
     """
 
     simples: tuple[str, ...]
@@ -76,14 +92,15 @@ class FusionRing:
         check_size(n, "fusion ring")
         table = np.zeros((n,) * 3, dtype=np.int64)
         for (a, b), fiber in tensor.items():
+            ab = type(a) is type(b) is int and 0 <= a < n and 0 <= b < n
             for c, m in fiber.items():
-                if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-                    raise ValueError(f"fusion key (a, b, c) = ({a}, {b}, {c}) is outside "
-                                     f"[0, {n})")
-                if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                if not (ab and type(c) is type(m) is int and 0 <= c < n):
+                    _check_entry(a, b, c, m, n)  # numpy ints pass, the rest raise
+                try:
+                    table[a, b, c] = m
+                except OverflowError:
                     raise ValueError(f"fusion multiplicity at (a, b, c) = ({a}, {b}, {c}) "
-                                     f"must be an integer, got {m!r}")
-                table[a, b, c] = m
+                                     f"must fit in int64, got {m}") from None
         table.setflags(write=False)
         object.__setattr__(self, "simples", tuple(simples))
         object.__setattr__(self, "unit_index", unit_index)

@@ -173,35 +173,22 @@ def _invert_exact(m: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _positive_root_coords(cartan) -> tuple[tuple[int, ...], ...]:
-    """Positive roots in simple-root coordinates, by root-string closure,
-    sorted by height and then by coordinates."""
-    rank = len(cartan)
-    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    roots = set(simple)
-    layer = list(simple)
-    while layer:
-        nxt = set()
-        for beta in layer:
-            labels = [sum(cartan[k][i] * beta[i] for i in range(rank)) for k in range(rank)]
-            for i in range(rank):
-                if beta == simple[i]:
-                    continue  # 2*alpha_i is never a root
-                p = 0
-                gamma = list(beta)
-                gamma[i] -= 1
-                while tuple(gamma) in roots:
-                    p += 1
-                    gamma[i] -= 1
-                if p - labels[i] >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    up = tuple(up)
-                    if up not in roots:
-                        nxt.add(up)
-        roots |= nxt
-        layer = list(nxt)
-    return tuple(sorted(roots, key=lambda c: (sum(c), c)))
+def _positive_roots(finite) -> list[tuple[tuple[int, ...], Weight]]:
+    """Positive roots as (simple-root coordinates, Dynkin labels), by height
+    and then coordinates: each non-simple one is s_i of a lower one beta with
+    beta_i < 0, so the step of _chamber, beta - beta_i * finite[i], taken
+    while beta_i < 0, reaches them all from the simple roots."""
+    roots = {}
+    todo = [(tuple(int(j == i) for j in range(len(finite))), col)
+            for i, col in enumerate(finite)]
+    while todo:
+        c, lam = todo.pop()
+        if c not in roots:
+            roots[c] = lam
+            todo += [(c[:i] + (c[i] - x,) + c[i + 1:],
+                      tuple([a - x * b for a, b in zip(lam, finite[i])]))
+                     for i, x in enumerate(lam) if x < 0]
+    return sorted(roots.items(), key=lambda r: (sum(r[0]), r[0]))
 
 
 @lru_cache(maxsize=None)
@@ -219,17 +206,16 @@ def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
     s = math.lcm(*(x.denominator for row in gram for x in row),
                  *(x.denominator for x in d))
 
-    coords = _positive_root_coords(cartan)
+    finite = tuple(zip(*cartan))
+    positive = _positive_roots(finite)
     roots = []
-    for c in coords:
-        labels = tuple(sum(map(mul, row, c)) for row in cartan)
+    for c, labels in positive:
         pairing = tuple(int(di * s) * x for di, x in zip(d, c))
         roots.append((labels, sum(c), pairing, sum(map(mul, pairing, labels))))
 
     # Highest root (the one of greatest height, listed last), dual marks, columns.
-    comark = tuple(int(t * x) for t, x in zip(coords[-1], d))
-    theta_labels = roots[-1][0]
-    finite = tuple(zip(*cartan))
+    theta_coords, theta_labels = positive[-1]
+    comark = tuple(int(t * x) for t, x in zip(theta_coords, d))
     extended = tuple((*col, -sum(map(mul, comark, col))) for col in finite)
 
     return LieAlgebraSpec(

@@ -116,17 +116,18 @@ class InvertibleProfile:
 
 
 def validate(data: ModularCategoryData) -> None:
-    """The one check of category data: the fusion axioms, the twists and quantum
-    dimensions, then every invertible's record (filling ``data.profiles``) and
-    faithful gradings.  Raises InconsistentDataError, or fusion.TooLargeError
-    past the exact check's bound."""
+    """The one check of category data: the list lengths, the fusion axioms, the
+    twists and quantum dimensions, then every invertible's record (filling
+    ``data.profiles``) and faithful gradings.  Raises InconsistentDataError, or
+    fusion.TooLargeError past the exact check's bound."""
     ring = data.ring
+    n = ring.size
+    if len(data.twist) != n or len(data.qdim) != n:
+        raise InconsistentDataError(f"twist and qdim lists have lengths {len(data.twist)} "
+                                    f"and {len(data.qdim)}, expected the simple count {n}")
     violation = fusion.axiom_violation(ring)
     if violation is not None:
         raise InconsistentDataError(f"fusion axioms fail: {violation}")
-    n = ring.size
-    if len(data.twist) != n or len(data.qdim) != n:
-        raise InconsistentDataError("twist/qdim lists must match the simple count")
     u = ring.unit_index
     if not data.twist[u].is_zero:
         raise InconsistentDataError(f"unit twist must vanish, got {data.twist[u]}")

@@ -102,7 +102,7 @@ MALFORMED = [pytest.param(payload, message, id=name) for name, payload, message 
     ("short-quad", edited("fusion", 3, [1, 1, 0]),
      "fusion[3] must be four integers [a, b, c, N], got [1, 1, 0]"),
     ("int64-overflow", edited("fusion", 3, [1, 1, 0, 2 ** 70]),
-     f"fusion multiplicity must be in [1, 2^63), got {2 ** 70}"),
+     f"fusion multiplicity at (a, b, c) = (1, 1, 0) must fit in int64, got {2 ** 70}"),
     ("float-twist", edited("twists", 1, [0.25, 1]),
      "twists[1] must be two integers [num, den], got [0.25, 1]"),
     ("string-twist", edited("twists", 1, "1/4"),
@@ -113,6 +113,32 @@ MALFORMED = [pytest.param(payload, message, id=name) for name, payload, message 
     ("int-simple", edited("simples", 0, 0), "simples[0] must be a string, got 0"),
     ("string-simples", edited("simples", None, "0s"), "simples must be a list, got '0s'"),
     ("list-payload", [semion_payload()], "category payload must be a JSON object, got list"),
+]]
+
+
+# each check has one owner: catfile the encoding (zero and repeated entries),
+# FusionRing each fusion entry, validate the lengths and the identities
+OWNED = [pytest.param(payload, message, id=name) for name, payload, message in [
+    *((f"{name}-at-{x}", edited("fusion", 3, quad), message)
+      for x in (2, -1)
+      for name, quad, message in [
+          ("a", [x, 1, 0, 1], f"fusion key (a, b, c) = ({x}, 1, 0) is outside [0, 2)"),
+          ("b", [1, x, 0, 1], f"fusion key (a, b, c) = (1, {x}, 0) is outside [0, 2)"),
+          ("c", [1, 1, x, 1], f"fusion key (a, b, c) = (1, 1, {x}) is outside [0, 2)"),
+      ]),
+    ("repeated-quad", edited("fusion", None, semion_payload()["fusion"] + [[1, 1, 0, 1]]),
+     "duplicate fusion entry for (1,1,0)"),
+    ("zero-multiplicity", edited("fusion", 3, [1, 1, 0, 0]), "zero fusion entry for (1,1,0)"),
+    ("negative-multiplicity", edited("fusion", 3, [1, 1, 0, -1]),
+     "fusion axioms fail: negative multiplicity N^0_{1,1}"),
+    ("multiplicity-2^63", edited("fusion", 3, [1, 1, 0, 2 ** 63]),
+     f"fusion multiplicity at (a, b, c) = (1, 1, 0) must fit in int64, got {2 ** 63}"),
+    ("short-dual", edited("dual", None, [0]),
+     "fusion axioms fail: dual is not a permutation of the simples"),
+    ("short-twists", edited("twists", None, [[0, 1]]),
+     "twist and qdim lists have lengths 1 and 2, expected the simple count 2"),
+    ("long-qdims", edited("qdims", None, [1.0, 1.0, 1.0]),
+     "twist and qdim lists have lengths 2 and 3, expected the simple count 2"),
 ]]
 
 
@@ -256,6 +282,27 @@ class TestValidation:
             catfile.load_category(self.write(tmp_path, payload))
         assert str(exc.value) == 'source must be "external" or {"family", "rank", "level"}'
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("family", None, 'source family must be one of "A" to "G", got None'),
+        ("family", "a", 'source family must be one of "A" to "G", got \'a\''),
+        ("family", "AB", 'source family must be one of "A" to "G", got \'AB\''),
+        ("rank", [], "source rank must be a positive integer, got []"),
+        ("rank", 0, "source rank must be a positive integer, got 0"),
+        ("rank", True, "source rank must be a positive integer, got True"),
+        ("level", {}, "source level must be a positive integer, got {}"),
+        ("level", 2.0, "source level must be a positive integer, got 2.0"),
+        ("level", -1, "source level must be a positive integer, got -1"),
+    ], ids=["family-None", "family-lower", "family-two-letters", "rank-list", "rank-0",
+            "rank-bool", "level-dict", "level-float", "level-negative"])
+    def test_source_fields_refused_before_any_check(self, tmp_path, key, value, message):
+        payload = ising_payload()
+        payload["source"] = {"family": "A", "rank": 3, "level": 2, key: value}
+        payload["simples"] = "0s"  # refused next, were the source accepted
+        path = self.write(tmp_path, payload)
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(path)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("twist,message", Z2_REFUSALS)
     def test_inconsistent_twist_refused(self, tmp_path, twist, message):
         with pytest.raises(CategoryFileError) as exc:
@@ -299,13 +346,13 @@ class TestValidation:
         data, _ = catfile.load_category(self.write(tmp_path, semion_payload()))
         assert currents.profile(data, 1).q == angle(1, 4)
 
-    @pytest.mark.parametrize("payload,message", MALFORMED)
+    @pytest.mark.parametrize("payload,message", MALFORMED + OWNED)
     def test_malformed_numbers_refused(self, tmp_path, payload, message):
         with pytest.raises(CategoryFileError) as exc:
             catfile.load_category(self.write(tmp_path, payload))
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("payload,message", MALFORMED)
+    @pytest.mark.parametrize("payload,message", MALFORMED + OWNED)
     def test_load_check_exits_2_on_malformed_numbers(self, tmp_path, capsys,
                                                      payload, message):
         assert cli.main(["load-check", str(self.write(tmp_path, payload))]) == 2

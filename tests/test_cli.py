@@ -68,6 +68,31 @@ class TestBuildAndLoad:
                          "--cache-dir", str(cache)]) == 0
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_cache_dir_made_if_missing(self, tmp_path, capsys):
+        cache = tmp_path / "missing" / "cache"
+        out = tmp_path / "out.json"
+        assert cli.main(["build", "A", "3", "2", "-o", str(out),
+                         "--cache-dir", str(cache)]) == 0
+        assert (cache / "A3-2.json").read_bytes() == out.read_bytes()
+
+    def test_each_build_serialized_once(self, tmp_path, capsys, monkeypatch):
+        plain = tmp_path / "plain.json"
+        assert cli.main(["build", "A", "3", "2", "-o", str(plain)]) == 0
+        calls = []
+        dumps, load = catfile.dumps_canonical, catfile.load_category
+        monkeypatch.setattr(catfile, "dumps_canonical",
+                            lambda payload: calls.append("dumps") or dumps(payload))
+        monkeypatch.setattr(catfile, "load_category",
+                            lambda path: calls.append("load") or load(path))
+        cache = tmp_path / "cache"
+        for name, made in [("miss.json", ["dumps"]), ("hit.json", ["load", "dumps"])]:
+            calls.clear()
+            assert cli.main(["build", "A", "3", "2", "-o", str(tmp_path / name),
+                             "--cache-dir", str(cache)]) == 0
+            assert calls == made
+        for path in (tmp_path / "miss.json", tmp_path / "hit.json", cache / "A3-2.json"):
+            assert path.read_bytes() == plain.read_bytes()
+
     def test_cache_dir_refuses_a_file_of_another_category(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         cache.mkdir()

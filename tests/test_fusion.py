@@ -417,6 +417,44 @@ class TestConstruction:
         assert str(exc.value) == (
             f"fusion multiplicity at (a, b, c) = (1, 1, 0) must be an integer, got {m!r}")
 
+    @pytest.mark.parametrize("key", [(True, 1, 0), (1, True, 0), (1, 1, True), (1.0, 1, 0),
+                                     (1, 1, 0.0), ("1", 1, 0), (1, 1, "0")])
+    def test_keys_that_are_not_integers_rejected(self, key):
+        a, b, c = key
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (a, b): {c: 1}}
+        with pytest.raises(ValueError) as exc:
+            FusionRing(("0", "x"), 0, (0, 1), tensor)
+        assert str(exc.value) == f"fusion key (a, b, c) = ({a!r}, {b!r}, {c!r}) must be integers"
+
+    def test_bool_key_is_not_read_as_one(self):
+        # with the key 1 this is the Fibonacci ring, x (x) x = 1 + x
+        fibonacci = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1, 1: 1}}
+        assert fusion.verify_axioms(FusionRing(("0", "x"), 0, (0, 1), fibonacci))
+        fibonacci[1, 1] = {0: 1, True: 1}
+        with pytest.raises(ValueError) as exc:
+            FusionRing(("0", "x"), 0, (0, 1), fibonacci)
+        assert str(exc.value) == "fusion key (a, b, c) = (1, 1, True) must be integers"
+
+    @pytest.mark.parametrize("m", [2 ** 63, -2 ** 63 - 1, np.uint64(2 ** 63)])
+    def test_multiplicity_outside_int64_refused(self, m):
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: m}}
+        with pytest.raises(ValueError) as exc:
+            FusionRing(("0", "x"), 0, (0, 1), tensor)
+        assert str(exc.value) == (
+            f"fusion multiplicity at (a, b, c) = (1, 1, 0) must fit in int64, got {m}")
+
+    def test_numpy_integer_keys_read_as_python_ones(self):
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+        ring = FusionRing(("0", "x"), 0, (0, 1), tensor)
+        numpy_keys = {(np.int64(a), np.int32(b)): {np.uint8(c): m for c, m in fiber.items()}
+                      for (a, b), fiber in tensor.items()}
+        assert FusionRing(("0", "x"), 0, (0, 1), numpy_keys) == ring
+
+    @pytest.mark.parametrize("m", [2 ** 63 - 1, -2 ** 63, np.int64(3)])
+    def test_multiplicity_at_the_int64_bounds_kept(self, m):
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: m}}
+        assert FusionRing(("0", "x"), 0, (0, 1), tensor).table[1, 1, 0] == m
+
     def test_negative_multiplicity_kept_for_the_axiom_check(self):
         tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}}
         ring = FusionRing(("0", "x"), 0, (0, 1), tensor)

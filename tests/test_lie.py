@@ -58,11 +58,42 @@ def ref_inner_product(spec, lam, mu):
                for i, x in enumerate(lam) for j, y in enumerate(mu))
 
 
+def root_string_coords(cartan):
+    """Positive roots in simple-root coordinates, by root-string closure,
+    sorted by height and then by coordinates: the oracle of lie._positive_roots."""
+    rank = len(cartan)
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    roots = set(simple)
+    layer = list(simple)
+    while layer:
+        nxt = set()
+        for beta in layer:
+            labels = [sum(cartan[k][i] * beta[i] for i in range(rank)) for k in range(rank)]
+            for i in range(rank):
+                if beta == simple[i]:
+                    continue  # 2*alpha_i is never a root
+                p = 0
+                gamma = list(beta)
+                gamma[i] -= 1
+                while tuple(gamma) in roots:
+                    p += 1
+                    gamma[i] -= 1
+                if p - labels[i] >= 1:
+                    up = list(beta)
+                    up[i] += 1
+                    up = tuple(up)
+                    if up not in roots:
+                        nxt.add(up)
+        roots |= nxt
+        layer = list(nxt)
+    return tuple(sorted(roots, key=lambda c: (sum(c), c)))
+
+
 @lru_cache(maxsize=None)
 def ref_roots(spec):
     """(labels, height, dco, norm) per positive root: (mu, alpha) = sum(mu_i dco_i)."""
     out = []
-    for c in lie._positive_root_coords(spec.cartan):
+    for c in root_string_coords(spec.cartan):
         labels = tuple(sum(spec.cartan[k][i] * c[i] for i in range(spec.rank))
                        for k in range(spec.rank))
         dco = tuple(d * x for d, x in zip(_symmetrizer(spec.family, spec.rank), c))
@@ -253,7 +284,7 @@ def test_derived_constants_equal_the_old_tables(family, rank):
     symmetrizer = lie._symmetrizer(spec.cartan)
     assert symmetrizer == _symmetrizer(family, rank)
     assert spec.dual_coxeter == _DUAL_COXETER[family](rank)
-    theta = max(lie._positive_root_coords(spec.cartan), key=sum)
+    theta = max(root_string_coords(spec.cartan), key=sum)
     assert spec.comark == tuple(t * d for t, d in zip(theta, symmetrizer))
 
 
@@ -263,7 +294,7 @@ def test_extended_cartan_matrix(family, rank):
     finite, extended = spec.finite, spec.extended
     assert finite == tuple(zip(*spec.cartan))
     assert [col[:rank] for col in extended[:rank]] == list(finite)
-    theta = max(lie._positive_root_coords(spec.cartan), key=sum)
+    theta = max(root_string_coords(spec.cartan), key=sum)
     marks = (*theta, 1)
     comarks = (*spec.comark, 1)
     assert all(extended[i][i] == 2 for i in range(rank + 1))
@@ -280,7 +311,7 @@ def test_integer_form_equals_the_fraction_form(family, rank):
     assert s == math.lcm(*(x.denominator for row in gram for x in row),
                          *(x.denominator for x in d))
     assert [[Fraction(x, s) for x in row] for row in spec.scaled_gram] == [list(r) for r in gram]
-    coords = lie._positive_root_coords(spec.cartan)
+    coords = root_string_coords(spec.cartan)
     assert len(spec.roots) == len(coords)
     for (labels, height, pairing, norm), c, ref in zip(spec.roots, coords, ref_roots(spec)):
         assert (labels, height) == ref[:2]
@@ -346,11 +377,26 @@ class TestSpecConstruction:
                 assert all(spec.cartan[i][j] <= 0 for j in range(spec.rank) if j != i)
 
     def test_positive_root_counts(self):
-        assert len(lie._positive_root_coords(A3.cartan)) == 6
-        assert len(lie._positive_root_coords(A5.cartan)) == 15
-        assert len(lie._positive_root_coords(D4.cartan)) == 12
-        assert len(lie._positive_root_coords(lie.lie_algebra("G", 2).cartan)) == 6
-        assert len(lie._positive_root_coords(lie.lie_algebra("F", 4).cartan)) == 24
+        assert len(lie._positive_roots(A3.finite)) == 6
+        assert len(lie._positive_roots(A5.finite)) == 15
+        assert len(lie._positive_roots(D4.finite)) == 12
+        assert len(lie._positive_roots(lie.lie_algebra("G", 2).finite)) == 6
+        assert len(lie._positive_roots(lie.lie_algebra("F", 4).finite)) == 24
+
+
+# 40 Cartan types, A1 to A11, B2 to B9, C1 to C9, D3 to D9 and the exceptional ones
+ROOT_TYPES = ([("A", r) for r in range(1, 12)] + [("B", r) for r in range(2, 10)]
+              + [("C", r) for r in range(1, 10)] + [("D", r) for r in range(3, 10)]
+              + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("family,rank", ROOT_TYPES)
+def test_positive_roots_by_reflection_equal_the_root_strings(family, rank):
+    cartan = lie._cartan_matrix(family, rank)
+    roots = lie._positive_roots(tuple(zip(*cartan)))
+    assert tuple(c for c, _ in roots) == root_string_coords(cartan)
+    for c, labels in roots:
+        assert labels == tuple(sum(a * x for a, x in zip(row, c)) for row in cartan)
 
 
 # 16 algebras from A1 to E8, 259 alcove weights in all
