@@ -15,8 +15,16 @@ Schema (version 1, keys sorted, UTF-8):
 External files (source = "external") let non-level-k data, e.g. an Ising
 category, exercise the auto-equivalence machinery; they go through exactly
 the same validation as built files.  This module checks only the encoding:
-``FusionRing`` checks each fusion entry, ``modular.validate`` the list lengths
-and every identity, and each refusal reaches the caller as CategoryFileError.
+``FusionRing`` checks each fusion entry and the simple count,
+``modular.validate`` the list lengths and every identity, and each refusal
+reaches the caller as CategoryFileError.  On load the types of the fusion
+quads and the twists are checked by one bulk gate, and an entry-by-entry scan
+runs only when it fails, to name the first bad entry.
+
+``dumps_canonical`` writes exactly the bytes of ``json.dumps(payload,
+sort_keys=True, indent=1, ensure_ascii=False)``, but formats the fusion quads,
+nearly all of a file, in one pass of one repeated format string, behind a gate
+that lets only lists of four Python ints through.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +52,7 @@ class CategoryFileError(ValueError):
 def category_to_payload(data: ModularCategoryData, source) -> dict:
     ring = data.ring
     t = ring.table
-    quads = [[*abc, m] for abc, m in zip(np.argwhere(t).tolist(), t[t != 0].tolist())]
+    quads = np.column_stack([np.argwhere(t), t[t != 0]]).tolist()  # sorted by (a, b, c)
     return {
         "schema_version": SCHEMA_VERSION,
         "source": source,
@@ -55,8 +64,36 @@ def category_to_payload(data: ModularCategoryData, source) -> dict:
     }
 
 
+#: One fusion quad as ``json.dumps(indent=1)`` writes it inside the top-level list.
+_QUAD = "  [\n   %d,\n   %d,\n   %d,\n   %d\n  ]"
+
+
+def _int_rows(rows, length: int) -> bool:
+    """rows is a list of lists of ``length`` Python ints, bools excluded; bulk checks."""
+    return (type(rows) is list and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {length}
+            and set(map(type, chain.from_iterable(rows))) <= {int})
+
+
 def dumps_canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+    """The canonical text of ``payload``: json.dumps(payload, sort_keys=True,
+    indent=1, ensure_ascii=False) + "\\n", byte for byte.  ``payload["fusion"]``
+    must be a list of lists of four Python ints, else ValueError names the
+    first entry that is not."""
+    quads = payload["fusion"]
+    if not _int_rows(quads, 4):
+        if type(quads) is not list:
+            raise ValueError(f"fusion must be a list, got {quads!r}")
+        i = next(i for i, q in enumerate(quads) if not _int_rows([q], 4))
+        raise ValueError(f"fusion[{i}] must be a list of four ints, got {quads[i]!r}")
+    text = json.dumps({**payload, "fusion": []}, sort_keys=True, indent=1,
+                      ensure_ascii=False)
+    if quads:
+        # only top-level keys start a line with one space and a quote
+        head, _, tail = text.partition('\n "fusion": []')
+        body = ",\n".join([_QUAD] * len(quads)) % tuple(chain.from_iterable(quads))
+        text = f'{head}\n "fusion": [\n{body}\n ]{tail}'
+    return text + "\n"
 
 
 def _ints(length: int):
@@ -77,6 +114,13 @@ def _entries(payload: dict, key: str, ok, what: str) -> list:
         if not ok(x):
             raise CategoryFileError(f"{key}[{i}] must be {what}, got {x!r}")
     return raw
+
+
+def _int_entries(payload: dict, key: str, length: int, what: str) -> list:
+    """payload[key], a list of lists of ``length`` integers: one bulk gate, and
+    the ``_entries`` scan, which names the first bad entry, only if it fails."""
+    raw = payload[key]
+    return raw if _int_rows(raw, length) else _entries(payload, key, _ints(length), what)
 
 
 def wzw_source(family: str, rank: int, level: int) -> dict:
@@ -112,17 +156,13 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
         _check_source(source)
         simples = _entries(payload, "simples", lambda x: isinstance(x, str), "a string")
         dual = _entries(payload, "dual", is_int, "an integer")
-        quads = _entries(payload, "fusion", _ints(4), "four integers [a, b, c, N]")
-        twists_raw = _entries(payload, "twists", _ints(2), "two integers [num, den]")
+        quads = _int_entries(payload, "fusion", 4, "four integers [a, b, c, N]")
+        twists_raw = _int_entries(payload, "twists", 2, "two integers [num, den]")
         qdims = [float(x) for x in
                  _entries(payload, "qdims", _is_finite, "a finite number")]
     except KeyError as exc:
         raise CategoryFileError(f"malformed category payload: missing {exc}") from None
 
-    try:
-        fusion.check_size(len(simples), "category file")
-    except fusion.TooLargeError as exc:
-        raise CategoryFileError(str(exc)) from None
     if len(set(simples)) != len(simples):
         raise CategoryFileError("simple labels must be distinct")
     for num, den in twists_raw:
@@ -139,6 +179,13 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
         fiber[c] = m
     try:
         ring = FusionRing(simples=simples, unit_index=0, dual=dual, tensor=tensor)
+    except fusion.TooLargeError:  # the ring's one check of the simple count
+        raise CategoryFileError(
+            f"category file has {len(simples)} simple objects, more than the limit "
+            f"of {fusion.MAX_SIMPLES}") from None
+    except ValueError as exc:
+        raise CategoryFileError(str(exc)) from None
+    try:
         data = ModularCategoryData(ring=ring, qdim=tuple(qdims),
                                    twist=tuple(RationalAngle(*t) for t in twists_raw))
         modular.validate(data)

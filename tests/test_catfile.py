@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from simplecurrents import catfile, cli, currents, fusion, groups, lie, modular
 from simplecurrents.angles import ZERO_ANGLE, angle
@@ -209,6 +210,78 @@ class TestRoundTrip:
         assert list(payload) == sorted(payload)
         assert payload["schema_version"] == 1
         assert payload["fusion"] == sorted(payload["fusion"])
+
+
+def json_dumps(payload):
+    """The writer dumps_canonical must match byte for byte: Python's own encoder."""
+    return json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+
+
+INT64 = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                  st.sampled_from([-2 ** 63, -1, 0, 1, 2 ** 63 - 1]))
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+SOURCES = st.just("external") | st.fixed_dictionaries(
+    {"family": st.sampled_from("ABCDEFG"), "rank": st.integers(1, 8),
+     "level": st.integers(1, 8)})
+
+
+SCHEMA_VALUES = {
+    "dual": st.lists(st.integers(0, 9), max_size=4),
+    "qdims": st.lists(st.floats(allow_nan=False), max_size=4),
+    "schema_version": st.just(1),
+    "simples": st.lists(st.text(), max_size=4),
+    "source": SOURCES,
+    "twists": st.lists(st.lists(INT64, min_size=2, max_size=2), max_size=3),
+}
+
+
+@st.composite
+def payloads(draw):
+    """A "fusion" list of int quads beside some schema keys and other keys, some
+    sorting before "fusion" and some after, whose values may nest a "fusion" key."""
+    payload = draw(st.dictionaries(st.text(), JSON, max_size=3))
+    for key in draw(st.sets(st.sampled_from(sorted(SCHEMA_VALUES)))):
+        payload[key] = draw(SCHEMA_VALUES[key])
+    payload["fusion"] = draw(st.lists(st.lists(INT64, min_size=4, max_size=4), max_size=6))
+    return payload
+
+
+class TestWriter:
+    @given(payloads())
+    @example({"fusion": []})  # the only key, and an empty list
+    @example({"fusion": [[0, 0, 0, 1]]})
+    @example({"fusion": [[0, 0, 0, 2 ** 63 - 1], [1, 2, 3, -2 ** 63]], "dual": [0]})  # last
+    @example({"fusion": [[0, 0, 0, -1]], "simples": ["0", "ε", "σ", "τ\u2028"],
+              "twists": []})  # first
+    @example({"fusion": [[0, 0, 0, 1]], "a": {"fusion": []}, "z": '\n "fusion": []',
+              "source": {"family": "A", "rank": 3, "level": 2}})
+    def test_byte_identical_to_json_dumps(self, payload):
+        assert catfile.dumps_canonical(payload) == json_dumps(payload)
+
+    def test_built_and_external_payloads(self, sl4_level2):
+        source = {"family": "A", "rank": 3, "level": 2}
+        for payload in (catfile.category_to_payload(sl4_level2, source),
+                        ising_payload(), semion_payload(), z2xz2_payload()):
+            assert catfile.dumps_canonical(payload) == json_dumps(payload)
+
+    @pytest.mark.parametrize("quad", [
+        [0, 0, 0, True], [0, 0, 0, 1.0], [0, 0, np.int64(0), 1], [0, 0, 0], [0, 0, 0, 1, 1],
+        (0, 0, 0, 1), "0001",
+    ], ids=["bool", "float", "numpy-int", "short", "long", "tuple", "str"])
+    def test_quad_that_is_not_four_ints_refused(self, quad):
+        payload = semion_payload()
+        payload["fusion"][2] = quad
+        with pytest.raises(ValueError) as exc:
+            catfile.dumps_canonical(payload)
+        assert str(exc.value) == f"fusion[2] must be a list of four ints, got {quad!r}"
+
+    def test_fusion_that_is_not_a_list_refused(self):
+        with pytest.raises(ValueError) as exc:
+            catfile.dumps_canonical(edited("fusion", None, "[]"))
+        assert str(exc.value) == "fusion must be a list, got '[]'"
 
 
 class TestValidation:
