@@ -391,12 +391,6 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
     return MappingProxyType({w: m for _, w, m in diagram})
 
 
-@lru_cache(maxsize=None)
-def _diagram_dimension(spec: LieAlgebraSpec, lam: Weight) -> int:
-    """Dimension of the module, read off its cached weight diagram."""
-    return sum(weight_multiplicities(spec, lam).values())
-
-
 def weyl_dimension(spec: LieAlgebraSpec, lam) -> int:
     """Dimension of the irreducible module, by the Weyl product formula."""
     lam = _check_weight(spec, lam)
@@ -437,12 +431,13 @@ def fusion_coefficients(spec: LieAlgebraSpec, k: int, lam, mu) -> Counter:
     by the affine Weyl group at level k; terms fixed by a shifted wall
     annihilate.  Returns a Counter supported on the level-k alcove.
 
-    Commutativity is a theorem, so the smaller weight diagram is folded; the
+    Commutativity is a theorem, so the argument of smaller Weyl dimension is
+    folded (mu on a tie), and only its weight diagram is made; the
     directional computation is available as :func:`fusion_with_second_diagram`.
     """
     lam = _alcove_weight(spec, k, lam)
     mu = _alcove_weight(spec, k, mu)
-    if _diagram_dimension(spec, mu) > _diagram_dimension(spec, lam):
+    if weyl_dimension(spec, mu) > weyl_dimension(spec, lam):
         lam, mu = mu, lam
     return fusion_with_second_diagram(spec, k, lam, mu)
 

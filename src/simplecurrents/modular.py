@@ -26,10 +26,11 @@ from .lie import LieAlgebraSpec, Weight
 
 QDIM_TOL = 1e-9  # tolerance for the +-1 decisions consuming quantum dimensions
 
-#: Largest number of weights in all the weight diagrams of a build.  The fold
-#: sizes both weights of every pair, (a, a) included, so a build caches the
-#: diagram of every alcove weight: sum(weyl_dimension) weights, at about 250
-#: bytes each (A18 at level 1: 524,287 weights, 157 MB peak).  2^23 weights
+#: Largest number of weights in all the weight diagrams of a build, counted
+#: as sum(weyl_dimension) over the alcove, at about 250 bytes a weight.  The
+#: fold makes only the diagram of the smaller argument of each pair it folds,
+#: so this is a conservative upper bound on what a build makes (A18 at level
+#: 1: 524,287 weights counted, 3 diagrams of 39 weights made).  2^23 weights
 #: is about 2 GB, under a third of a 7 GB machine, as for fusion.MAX_SIMPLES.
 MAX_DIAGRAM_WEIGHTS = 2 ** 23
 
@@ -154,9 +155,10 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     weights mod 1, quantum dimensions from the sine product.
     The result is cached per (algebra, level); it is frozen, and its ring's
     table is read-only, so no caller can change what later callers get.
-    An alcove of more than fusion.MAX_SIMPLES weights, or whose weight
-    diagrams hold more than MAX_DIAGRAM_WEIGHTS weights in all, raises
-    fusion.TooLargeError before the fold.
+    Each fold makes only the weight diagram of its argument of smaller Weyl
+    dimension.  An alcove of more than fusion.MAX_SIMPLES weights, or whose
+    weight diagrams would hold more than MAX_DIAGRAM_WEIGHTS weights in all,
+    raises fusion.TooLargeError before the fold.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")

@@ -1,5 +1,6 @@
 """Acceptance gate: one test per published-example criterion, plus the
-abstract property suites.  Each test prints a pass/fail line; run with
+abstract property suites and a cold high-rank build.  Each test prints a
+pass/fail line; run with
 
     pytest tests/test_acceptance.py -v -s
 
@@ -40,7 +41,9 @@ def criterion(name: str, budget: float | None = None):
 
 
 def fresh(family, rank, level):
+    """A cold build: the category and weight-diagram caches emptied first."""
     modular.build_wzw_data.cache_clear()
+    lie.weight_multiplicities.cache_clear()
     return modular.build_wzw_data(lie.lie_algebra(family, rank), level)
 
 
@@ -236,3 +239,11 @@ def test_criterion_6_combined_budget():
     total = sum(parts)
     print(f"[acceptance] criterion 6 combined runtime: {total:.2f}s")
     assert total < 30.0
+
+
+def test_criterion_7_high_rank_cold_build():
+    with criterion("criterion 7 (cold A18 level 1 build)", budget=1.0):
+        data = fresh("A", 18, 1)
+        assert data.size == 19
+        # the orbit fold reads three diagrams of the 19 alcove weights
+        assert lie.weight_multiplicities.cache_info().misses == 3

@@ -449,3 +449,45 @@ class TestOrbitFold:
         assert spec.comark == (1, 1, 1) and len(group) == 2
         assert len(calls) == len(set(calls))
         assert {(3, 0, 0), (0, 3, 0), (0, 0, 3)} <= {lam for lam, _ in calls}
+
+
+def cold_build(spec, level):
+    """build_wzw_data with its cache and the weight-diagram cache emptied first."""
+    modular.build_wzw_data.cache_clear()
+    lie.weight_multiplicities.cache_clear()
+    return modular.build_wzw_data(spec, level)
+
+
+class TestDiagramsMade:
+    @pytest.mark.parametrize("family,rank,level", [
+        ("A", 3, 4), ("D", 4, 2), ("B", 4, 2), ("C", 3, 3), ("G", 2, 3), ("E", 6, 2)])
+    def test_fold_order_is_the_diagram_sum_order(self, monkeypatch, family, rank, level):
+        # the old rule as oracle: fold mu unless mu's diagram sums to more than lam's
+        spec, asked, folded = lie.lie_algebra(family, rank), [], []
+        coefficients = lie.fusion_coefficients
+        directional = lie.fusion_with_second_diagram
+
+        def asking(spec, k, lam, mu):
+            asked.append((lam, mu))
+            return coefficients(spec, k, lam, mu)
+
+        def folding(spec, k, lam, mu):
+            folded.append((lam, mu))
+            return directional(spec, k, lam, mu)
+        monkeypatch.setattr(lie, "fusion_coefficients", asking)
+        monkeypatch.setattr(lie, "fusion_with_second_diagram", folding)
+        cold_build(spec, level)
+
+        def size(w):
+            return sum(lie.weight_multiplicities(spec, w).values())
+        assert folded == [(mu, lam) if size(mu) > size(lam) else (lam, mu)
+                          for lam, mu in asked]
+
+    @pytest.mark.parametrize("family,rank,level,made", [
+        ("A", 7, 1, 3), ("A", 14, 1, 3), ("A", 18, 1, 3), ("A", 5, 2, 8),
+        ("D", 4, 2, 9), ("A", 3, 4, 17), ("A", 2, 10, 40)])
+    def test_diagrams_made_per_cold_build(self, family, rank, level, made):
+        # only the smaller argument of each folded pair has its diagram made,
+        # so fewer diagrams than alcove weights
+        data = cold_build(lie.lie_algebra(family, rank), level)
+        assert lie.weight_multiplicities.cache_info().misses == made < data.size
