@@ -270,6 +270,17 @@ def _alcove_weight(spec: LieAlgebraSpec, k: int, lam) -> Weight:
     return lam
 
 
+def alcove_size(spec: LieAlgebraSpec, k: int) -> int:
+    """Number of dominant weights of level <= k, counted without listing them:
+    the affine labels with lambda_0 + sum(comark_i * lambda_i) = k, in one pass
+    per label over the levels 0..k."""
+    counts = [1] + [0] * k  # counts[b]: the labels seen so far that reach b
+    for c in (1, *spec.comark):
+        for b in range(c, k + 1):
+            counts[b] += counts[b - c]
+    return counts[k]
+
+
 def alcove_weights(spec: LieAlgebraSpec, k: int) -> list[Weight]:
     """All dominant weights of level <= k, sorted lexicographically by labels."""
     if k < 0:

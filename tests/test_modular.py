@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import itertools
+import time
+import weakref
 from fractions import Fraction
 from math import lcm
 
@@ -54,6 +57,59 @@ class TestBuild:
         assert str(exc.value) == (
             f"A1 at level {level} has {level + 1} simple objects, "
             f"more than the limit of {fusion.MAX_SIMPLES}")
+
+    @pytest.mark.parametrize("rank,count", [(20, 137846528820), (12, 2704156)])
+    def test_alcove_counted_before_it_is_listed(self, monkeypatch, rank, count):
+        # the A_r alcove at level k has binomial(k + r, r) weights
+        def no_listing(*args):
+            raise AssertionError("alcove listed")
+        monkeypatch.setattr(lie, "alcove_weights", no_listing)
+        with pytest.raises(fusion.TooLargeError) as exc:
+            modular.build_wzw_data(lie.lie_algebra("A", rank), rank)
+        assert str(exc.value) == (
+            f"A{rank} at level {rank} has {count} simple objects, "
+            f"more than the limit of {fusion.MAX_SIMPLES}")
+
+    def test_level_past_the_count_refused_at_once(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("alcove counted or listed")
+        monkeypatch.setattr(lie, "alcove_size", no_count)
+        monkeypatch.setattr(lie, "alcove_weights", no_count)
+        spec, t0 = lie.lie_algebra("A", 1), time.perf_counter()
+        with pytest.raises(fusion.TooLargeError) as exc:
+            modular.build_wzw_data(spec, 10 ** 9)
+        assert time.perf_counter() - t0 < 1.0
+        assert str(exc.value) == (
+            "A1 at level 1000000000 has at least 1000000001 simple objects, "
+            f"more than the limit of {fusion.MAX_SIMPLES}")
+
+    def test_count_exact_up_to_its_level_cap(self):
+        level = modular.MAX_COUNTED_LEVEL
+        with pytest.raises(fusion.TooLargeError, match=f" has {level + 1} simple"):
+            modular.build_wzw_data(lie.lie_algebra("A", 1), level)
+        with pytest.raises(fusion.TooLargeError, match=f" has at least {level + 2} simple"):
+            modular.build_wzw_data(lie.lie_algebra("A", 1), level + 1)
+
+    def test_lower_bound_past_the_cap_exceeds_the_limit(self):
+        for family, rank in [("A", 1), ("B", 2), ("C", 3), ("D", 4), ("E", 6),
+                             ("E", 7), ("E", 8), ("F", 4), ("G", 2)]:
+            least = min(lie.lie_algebra(family, rank).comark)
+            assert least <= 2
+            assert (modular.MAX_COUNTED_LEVEL + 1) // least + 1 > fusion.MAX_SIMPLES
+
+    def test_build_keeps_nothing_after_the_caller_drops_it(self):
+        data = modular.build_wzw_data(lie.lie_algebra("A", 3), 2)
+        ring = weakref.ref(data.ring)
+        del data
+        gc.collect()
+        assert ring() is None
+
+    def test_each_build_returns_new_equal_data(self):
+        spec = lie.lie_algebra("A", 3)
+        first, second = modular.build_wzw_data(spec, 2), modular.build_wzw_data(spec, 2)
+        assert first is not second and first.ring is not second.ring
+        assert first.ring == second.ring
+        assert (first.twist, first.qdim) == (second.twist, second.qdim)
 
     def test_diagrams_too_large_refused_before_the_fold(self, monkeypatch):
         def no_diagram(*args):
@@ -227,7 +283,7 @@ class TestValidation:
             return {(1,): 1} if (lam, mu) == ((1,), (1,)) else fold(spec, k, lam, mu)
         monkeypatch.setattr(lie, "fusion_coefficients", no_unit)
         with pytest.raises(InconsistentDataError) as exc:
-            modular.build_wzw_data.__wrapped__(lie.lie_algebra("A", 1), 1)
+            modular.build_wzw_data(lie.lie_algebra("A", 1), 1)
         assert str(exc.value) == "fusion axioms fail: duality fails: N^unit_{1,1} = 0"
 
 
@@ -452,8 +508,7 @@ class TestOrbitFold:
 
 
 def cold_build(spec, level):
-    """build_wzw_data with its cache and the weight-diagram cache emptied first."""
-    modular.build_wzw_data.cache_clear()
+    """build_wzw_data with the weight-diagram cache emptied first."""
     lie.weight_multiplicities.cache_clear()
     return modular.build_wzw_data(spec, level)
 
