@@ -180,16 +180,17 @@ def axiom_violation(ring: FusionRing) -> str | None:
     if (t < 0).any():
         a, b, c = map(int, np.argwhere(t < 0)[0])
         return f"negative multiplicity N^{c}_{{{a},{b}}}"
-    for a in range(n):
-        for c in range(n):
-            if t[a, u, c] != (a == c):
-                return f"right unit law fails: N^{c}_{{{a},unit}} = {t[a, u, c]}"
-            if t[u, a, c] != (a == c):
-                return f"left unit law fails: N^{c}_{{unit,{a}}} = {t[u, a, c]}"
-    for a in range(n):
-        for b in range(n):
-            if t[a, b, u] != (b == ring.dual[a]):
-                return f"duality fails: N^unit_{{{a},{b}}} = {t[a, b, u]}"
+    eye = np.eye(n, dtype=np.int64)
+    unit = np.argwhere((t[:, u, :] != eye) | (t[u, :, :] != eye))  # [a, c]
+    if len(unit):
+        a, c = map(int, unit[0])
+        if t[a, u, c] != (a == c):
+            return f"right unit law fails: N^{c}_{{{a},unit}} = {t[a, u, c]}"
+        return f"left unit law fails: N^{c}_{{unit,{a}}} = {t[u, a, c]}"
+    dual = np.argwhere(t[:, :, u] != eye[list(ring.dual)])  # [a, b]: b = a* has 1
+    if len(dual):
+        a, b = map(int, dual[0])
+        return f"duality fails: N^unit_{{{a},{b}}} = {t[a, b, u]}"
     top = int(t.max())
     if n * top * top >= EXACT_FLOAT_LIMIT:
         raise TooLargeError(

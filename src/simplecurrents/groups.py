@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 Perm = tuple[int, ...]
 
 
@@ -18,7 +20,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose_perms(p: Perm, q: Perm) -> Perm:
     """p after q: (p . q)(i) = p[q[i]]."""
-    return tuple(p[x] for x in q)
+    return tuple([p[x] for x in q])
 
 
 def inverse_perm(p: Perm) -> Perm:
@@ -64,9 +66,12 @@ def close_under_composition(perms: list[Perm], cap: int = 1024) -> list[Perm]:
 
 
 def multiplication_table(elements: list[Perm]) -> tuple[tuple[int, ...], ...]:
-    """table[i][j] = index of elements[i] . elements[j]."""
-    index = {p: i for i, p in enumerate(elements)}
-    return tuple(tuple(index[compose_perms(p, q)] for q in elements) for p in elements)
+    """table[i][j] = index of elements[i] . elements[j]; KeyError unless the
+    list is closed.  Row i is p[e], p = elements[i] after every element at
+    once, one g x n int64 array, each product looked up whole by its bytes."""
+    e = np.array(elements, dtype=np.int64)
+    index = {row.tobytes(): i for i, row in enumerate(e)}
+    return tuple(tuple([index[row.tobytes()] for row in p[e]]) for p in e)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from . import fusion, groups, lie
@@ -64,7 +64,9 @@ class ModularCategoryData:
         index order (cached, read-only), built one g at a time.
         InconsistentDataError, naming g, unless each monodromy of g is an M-th
         root, |d_g| = 1, q^2 is an M-th root and q an order-M (M odd) or
-        order-2M root, checked in that order.
+        order-2M root, checked in that order.  Each monodromy is an integer
+        v over den, the lcm of the twist denominators (see _turns): an M-th
+        root exactly when den divides v * M, with charge Q_g(x) = v * M / den.
 
         q is the twist of g, shifted by a half turn when d_g = -1 (the ribbon
         identity theta_g = q * d_g; no unitary level-k example has d_g = -1,
@@ -74,18 +76,20 @@ class ModularCategoryData:
         positive: the float decides only for a file's qdims.
         """
         ring = self.ring
+        den, turns = _turns(self.twist)
         out = {}
         for g in fusion.invertibles(ring):
             label = ring.simples[g]
             m = fusion.invertible_order(ring, g)
             charges = []
             for x in range(self.size):
-                mono = monodromy(self, g, x)
-                if m % mono.den:
+                v = _monodromy_turns(ring, den, turns, g, x)
+                charge, off = divmod(v * m, den)
+                if off:
                     raise InconsistentDataError(
-                        f"monodromy {mono} of {label} with {ring.simples[x]} "
-                        f"is not an order-{m} root")
-                charges.append(mono.num * (m // mono.den))
+                        f"monodromy {RationalAngle(v, den)} of {label} with "
+                        f"{ring.simples[x]} is not an order-{m} root")
+                charges.append(charge)
             d = self.qdim[g]
             if not abs(abs(d) - 1.0) <= QDIM_TOL:  # NaN fails too
                 raise InconsistentDataError(
@@ -258,10 +262,25 @@ def monodromy(data: ModularCategoryData, g: int, x: int) -> RationalAngle:
     """Scalar of the double braiding of an invertible g with a simple x.
 
     Valid because g (x) x is simple, so the ribbon identity collapses to
-    twist(g (x) x) - twist(g) - twist(x) in angle arithmetic.
+    twist(g (x) x) - twist(g) - twist(x), taken in integers over the twists'
+    common denominator.
     """
-    perm = fusion.fuse_permutation(data.ring, g)
-    return data.twist[perm[x]] - data.twist[g] - data.twist[x]
+    den, turns = _turns(data.twist)
+    return RationalAngle(_monodromy_turns(data.ring, den, turns, g, x), den)
+
+
+def _turns(twist: tuple[RationalAngle, ...]) -> tuple[int, list[int]]:
+    """(den, turns): every twist as turns[x] / den over den = lcm of the twist
+    denominators, in Python ints, so exact at any size."""
+    den = lcm(*(t.den for t in twist))
+    return den, [t.num * (den // t.den) for t in twist]
+
+
+def _monodromy_turns(ring: FusionRing, den: int, turns: list[int], g: int, x: int) -> int:
+    """v in [0, den) with monodromy(g, x) = v / den, from the twists as turns
+    over den (see _turns): the one twist difference of the package."""
+    y = fusion.fuse_permutation(ring, g)[x]
+    return (turns[y] - turns[g] - turns[x]) % den
 
 
 def grading(profile: InvertibleProfile, zeta: RationalAngle) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +74,78 @@ def z2xz2_payload():
         "fusion": [[x, y, x ^ y, 1] for x in range(4) for y in range(4)],
         "twists": [[0, 1], [0, 1], [1, 8], [1, 8]], "qdims": [1.0, 2.0, 1.0, 1.0],
     }
+
+
+def cyclic_factor(n, twists=None):
+    """A factor of deligne_payload: Z_n fusion, quantum dimension 1 and the
+    given twists, by default those of SU(n)_1, j(n-j)/2n."""
+    return ([str(j) for j in range(n)],
+            {(a, b): {(a + b) % n: 1} for a in range(n) for b in range(n)},
+            [-j % n for j in range(n)],
+            twists or [Fraction(j * (n - j), 2 * n) for j in range(n)], [1.0] * n)
+
+
+def ising_factor(sigma):
+    """A factor of deligne_payload: ising_payload with the twist ``sigma`` on
+    sigma.  No check reads the twist of the one non-invertible, so any value
+    loads."""
+    payload = ising_payload()
+    tensor = {}
+    for a, b, c, m in payload["fusion"]:
+        tensor.setdefault((a, b), {})[c] = m
+    return (payload["simples"], tensor, payload["dual"],
+            [Fraction(0), Fraction(1, 2), sigma], payload["qdims"])
+
+
+def deligne_payload(*factors):
+    """The category file of the Deligne product of the factors, each a tuple
+    (labels, {(a, b): {c: N}}, dual, twists as Fractions, qdims): objects in
+    lexicographic order, labels joined by commas, twists summed mod 1."""
+    objects = list(itertools.product(*(range(len(f[0])) for f in factors)))
+    index = {o: i for i, o in enumerate(objects)}
+    quads = []
+    for a in objects:
+        for b in objects:
+            fibers = [f[1][(x, y)].items() for f, x, y in zip(factors, a, b)]
+            for terms in itertools.product(*fibers):
+                c = tuple(z for z, _ in terms)
+                quads.append([index[a], index[b], index[c], math.prod(m for _, m in terms)])
+    twists = [sum(f[3][x] for f, x in zip(factors, o)) % 1 for o in objects]
+    return {
+        "schema_version": 1, "source": "external",
+        "simples": [",".join(f[0][x] for f, x in zip(factors, o)) for o in objects],
+        "dual": [index[tuple(f[2][x] for f, x in zip(factors, o))] for o in objects],
+        "fusion": quads,
+        "twists": [[t.numerator, t.denominator] for t in twists],
+        "qdims": [math.prod(f[4][x] for f, x in zip(factors, o)) for o in objects],
+    }
+
+
+def z2xz2_twists(twist_c):
+    """Z2 x Z2 on 0, a, b and c = ab, all of quantum dimension 1, with twists
+    0, 1/4, 0 and twist_c."""
+    payload = z2xz2_payload()
+    payload["twists"] = [[0, 1], [1, 4], [0, 1], list(twist_c)]
+    payload["qdims"] = [1.0] * 4
+    return payload
+
+
+# the first x, in index order, whose monodromy with the first invertible g
+# that has one is no root of g's order is named, with that monodromy exact.
+# Z2 x Z2: monodromy(a, a) = 1/2 passes, monodromy(a, b) = twist(c) - 1/4
+# fails, and so would monodromy(a, c) = -1/4 - twist(c) after it.  Z2 x SU(3)_1:
+# every record of the SU(3)_1 currents passes; then g = (1,0) passes with (0,1)
+# and (0,2) and fails with itself.  Denominators past 2^64 are named exactly.
+FIRST_BAD_MONODROMY = [
+    (z2xz2_twists((7, 12)), "monodromy 1/3 of a with b is not an order-2 root"),
+    (z2xz2_twists((2 ** 64 + 1, 2 ** 66)),
+     f"monodromy 1/{2 ** 66} of a with b is not an order-2 root"),
+    (z2_payload((1, 2 ** 70)),
+     f"monodromy {2 ** 69 - 1}/{2 ** 69} of x with x is not an order-2 root"),
+    (deligne_payload(cyclic_factor(2, [Fraction(0), Fraction(1, 2 ** 70)]),
+                     cyclic_factor(3)),
+     f"monodromy {2 ** 69 - 1}/{2 ** 69} of 1,0 with 1,0 is not an order-2 root"),
+]
 
 
 def edited(key, index, value):
@@ -399,6 +474,15 @@ class TestValidation:
         # a's qdim is named, not b's monodromy
         message = "invertible a has |qdim| = 2.0, expected 1"
         path = self.write(tmp_path, z2xz2_payload())
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(path)
+        assert str(exc.value) == message
+        assert cli.main(["load-check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("payload,message", FIRST_BAD_MONODROMY)
+    def test_first_bad_monodromy_named(self, tmp_path, capsys, payload, message):
+        path = self.write(tmp_path, payload)
         with pytest.raises(CategoryFileError) as exc:
             catfile.load_category(path)
         assert str(exc.value) == message

@@ -4,6 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from simplecurrents import fusion, lie, modular
 from simplecurrents.fusion import FusionRing, NotInvertibleError, TooLargeError
@@ -133,6 +134,62 @@ def built_ring(family, rank, level):
 # every category of the golden-hash suite small enough for the n^4 oracle
 ORACLE_CATEGORIES = [("A", 3, 2), ("A", 5, 2), ("D", 4, 2), ("A", 7, 1), ("B", 4, 2),
                      ("C", 3, 3), ("A", 3, 4), ("E", 6, 2), ("E", 8, 2), ("A", 1, 12)]
+
+
+def unit_and_duality_by_loops(ring):
+    """The unit and duality laws of axiom_violation as they were checked before
+    the array comparison, one entry at a time: the oracle of the first failure."""
+    n, u, t = ring.size, ring.unit_index, ring.table
+    for a in range(n):
+        for c in range(n):
+            if t[a, u, c] != (a == c):
+                return f"right unit law fails: N^{c}_{{{a},unit}} = {t[a, u, c]}"
+            if t[u, a, c] != (a == c):
+                return f"left unit law fails: N^{c}_{{unit,{a}}} = {t[u, a, c]}"
+    for a in range(n):
+        for b in range(n):
+            if t[a, b, u] != (b == ring.dual[a]):
+                return f"duality fails: N^unit_{{{a},{b}}} = {t[a, b, u]}"
+    return None
+
+
+def cyclic_ring(n, edits=()):
+    """Z_n on 0..n-1 (unit 0, dual -a) with each (a, b, c, N) of edits set."""
+    tensor = {(a, b): {(a + b) % n: 1} for a in range(n) for b in range(n)}
+    for a, b, c, m in edits:
+        tensor[(a, b)] = {**tensor[(a, b)], c: m}
+    return FusionRing(tuple(map(str, range(n))), 0, tuple(-a % n for a in range(n)), tensor)
+
+
+FIRST_FAILURES = [
+    # both unit laws fail, the left one at the earlier (a, c) = (1, 0)
+    ([(1, 0, 2, 1), (0, 1, 0, 1)], "left unit law fails: N^0_{unit,1} = 1"),
+    # both fail at (a, c) = (1, 2): the right law is named first
+    ([(1, 0, 2, 1), (0, 1, 2, 1)], "right unit law fails: N^2_{1,unit} = 1"),
+    # duality only: 1 x 2 lacks the unit, and later 2 x 2 has it twice
+    ([(1, 2, 0, 0), (1, 2, 1, 1), (2, 2, 0, 2)], "duality fails: N^unit_{1,2} = 0"),
+    # duality only, twice in one row: first b = 1, then b = 2
+    ([(1, 1, 0, 1), (1, 2, 0, 0)], "duality fails: N^unit_{1,1} = 1"),
+]
+
+
+class TestFirstFailure:
+    @pytest.mark.parametrize("edits,message", FIRST_FAILURES)
+    def test_named_as_by_the_loops(self, edits, message):
+        ring = cyclic_ring(3, edits)
+        assert fusion.axiom_violation(ring) == unit_and_duality_by_loops(ring) == message
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(*[st.integers(0, n - 1)] * 3, st.integers(0, 2)),
+                             max_size=4))))
+    def test_random_edits_named_as_by_the_loops(self, case):
+        ring = cyclic_ring(*case)
+        expected = unit_and_duality_by_loops(ring)
+        found = fusion.axiom_violation(ring)
+        if expected is None:
+            assert found is None or found.startswith("associativity fails")
+        else:
+            assert found == expected
 
 
 class TestAssociativityOracle:

@@ -1,6 +1,7 @@
 from itertools import permutations as sym_group
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from simplecurrents import currents, fusion, groups
 from simplecurrents.groups import (ClosureCapExceededError,
@@ -227,3 +228,43 @@ class TestIsomorphismType:
         elements = sorted(sym_group(range(4)))
         table = multiplication_table(elements)
         assert isomorphism_type(table) == "group of order 24"
+
+
+def table_by_composition(elements):
+    """multiplication_table as it was before the row lookup, one tuple
+    composition per pair: the oracle."""
+    index = {p: i for i, p in enumerate(elements)}
+    return tuple(tuple(index[compose_perms(p, q)] for q in elements) for p in elements)
+
+
+@st.composite
+def closed_lists(draw):
+    """The group of one to three random permutations of at most 7 points, if
+    it has at most 120 elements, listed in a random order."""
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3))
+    try:
+        elements = close_under_composition(gens, cap=120)
+    except ClosureCapExceededError:
+        assume(False)
+    return [elements[i] for i in draw(st.permutations(range(len(elements))))]
+
+
+class TestMultiplicationTable:
+    @given(closed_lists())
+    def test_equals_the_composition_table(self, elements):
+        assert multiplication_table(elements) == table_by_composition(elements)
+
+    def test_regular_z400(self):
+        # the 400 rotations of 400 points: table[i][j] = i + j mod 400
+        elements = [tuple((x + s) % 400 for x in range(400)) for s in range(400)]
+        table = multiplication_table(elements)
+        assert table == tuple(tuple((i + j) % 400 for j in range(400)) for i in range(400))
+        assert all(type(k) is int for row in table for k in row)
+
+    def test_one_point(self):
+        assert multiplication_table([(0,)]) == ((0,),)
+
+    def test_not_closed_raises_key_error(self):
+        with pytest.raises(KeyError):
+            multiplication_table([(0, 1, 2), (1, 2, 0)])  # the square (2, 0, 1) is missing

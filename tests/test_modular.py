@@ -12,7 +12,8 @@ from simplecurrents import catfile, currents, fusion, lie, modular
 from simplecurrents.angles import ZERO_ANGLE, angle, primitive_angles
 from simplecurrents.fusion import FusionRing, NotInvertibleError
 from simplecurrents.modular import InconsistentDataError
-from test_catfile import GOLDEN_SHA256, ising_payload
+from test_catfile import (GOLDEN_SHA256, cyclic_factor, deligne_payload, ising_factor,
+                          ising_payload)
 
 
 class TestBuild:
@@ -291,10 +292,18 @@ class TestValidation:
 # its monodromies from the twists: the references for the table's readers.
 
 
+def monodromy_by_angles(data, g, x):
+    """twist(g (x) x) - twist(g) - twist(x) in RationalAngle arithmetic, as
+    modular.monodromy took it before the twists were put over one denominator:
+    the reference for the integer monodromies."""
+    perm = fusion.fuse_permutation(data.ring, g)
+    return data.twist[perm[x]] - data.twist[g] - data.twist[x]
+
+
 def charges_by_monodromy(data, g, m):
     charges = []
     for x in range(data.size):
-        mono = modular.monodromy(data, g, x)
+        mono = monodromy_by_angles(data, g, x)
         assert m % mono.order == 0
         charges.append(mono.num * (m // mono.den))
     return tuple(charges)
@@ -307,11 +316,11 @@ def grading_by_monodromy(data, profile, zeta):
 
 
 def support_by_monodromy(data, g):
-    return lcm(*(modular.monodromy(data, g, x).order for x in range(data.size)))
+    return lcm(*(monodromy_by_angles(data, g, x).order for x in range(data.size)))
 
 
 def commutes_by_monodromy(data, g, h):
-    return modular.monodromy(data, g, h).is_zero
+    return monodromy_by_angles(data, g, h).is_zero
 
 
 def pointed(*moduli):
@@ -546,3 +555,51 @@ class TestDiagramsMade:
         # so fewer diagrams than alcove weights
         data = cold_build(lie.lie_algebra(family, rank), level)
         assert lie.weight_multiplicities.cache_info().misses == made < data.size
+
+
+# every category the suite builds
+BUILT_CATEGORIES = sorted({*FOLD_CATEGORIES, *EXACT_SIGN_CASES})
+
+# loaded files: pointed Deligne products, and Ising products whose sigma has a
+# twist over a large prime, so that the twists' common denominator passes 2^64
+# (a file loads only if each invertible's twist has a denominator dividing
+# twice its order, so a pointed file that loads has a small one)
+LOADED_PAYLOADS = {
+    "SU4xSU6-1": lambda: deligne_payload(cyclic_factor(4), cyclic_factor(6)),
+    "SU2xSU3xSU5-1": lambda: deligne_payload(cyclic_factor(2), cyclic_factor(3),
+                                             cyclic_factor(5)),
+    "SU6-1": lambda: deligne_payload(cyclic_factor(6)),
+    "IsingxSU3-1": lambda: deligne_payload(ising_factor(Fraction(5, 2 ** 89 - 1)),
+                                           cyclic_factor(3)),
+    "IsingxIsingxSU2xSU6-1": lambda: deligne_payload(
+        ising_factor(Fraction(1, 2 ** 61 - 1)), ising_factor(Fraction(3, 2 ** 31 - 1)),
+        cyclic_factor(2), cyclic_factor(6)),
+}
+
+
+def assert_charges_are_the_monodromies(data):
+    for g, p in data.profiles.items():
+        assert p.charges == charges_by_monodromy(data, g, p.M)
+        for x in range(data.size):
+            assert modular.monodromy(data, g, x) == monodromy_by_angles(data, g, x)
+
+
+class TestIntegerCharges:
+    @pytest.mark.parametrize("family,rank,level", BUILT_CATEGORIES)
+    def test_built(self, family, rank, level):
+        assert_charges_are_the_monodromies(
+            modular.build_wzw_data(lie.lie_algebra(family, rank), level))
+
+    @pytest.mark.parametrize("name", sorted(CHARGE_CATEGORIES))
+    def test_charge_categories(self, name):
+        assert_charges_are_the_monodromies(CHARGE_CATEGORIES[name]())
+
+    @pytest.mark.parametrize("name", sorted(LOADED_PAYLOADS))
+    def test_loaded(self, tmp_path, name):
+        path = tmp_path / "cat.json"
+        path.write_text(catfile.dumps_canonical(LOADED_PAYLOADS[name]()), encoding="utf-8")
+        data, _ = catfile.load_category(path)
+        isings = name.count("Ising")  # each has two invertibles of three simples
+        assert (lcm(*(t.den for t in data.twist)) > 2 ** 64) == (isings > 0)
+        assert len(data.profiles) == data.size * 2 ** isings // 3 ** isings
+        assert_charges_are_the_monodromies(data)
