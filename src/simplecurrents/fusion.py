@@ -29,6 +29,13 @@ import numpy as np
 #: under a second.
 MAX_SIMPLES = 400
 
+#: Largest int64 array of shifted points that a build's Kac-Walton fold holds
+#: at once (modular._fold_rows): the rows folded against one weight diagram
+#: are taken in chunks under it, so C3 at level 7 folds the 18,810 weights of
+#: 7 L2 against its 120 simples in pieces under 4 MB, not in one 72 MB array.
+#: The fold's temporaries are a small multiple of it.
+FOLD_CHUNK_BYTES = 2 ** 22
+
 #: Float64 holds every integer below this exactly.
 EXACT_FLOAT_LIMIT = 2 ** 53
 
@@ -73,13 +80,16 @@ def _check_entry(a, b, c, m, n: int) -> None:
 class FusionRing:
     """A frozen fusion ring over an ordered set of simple objects.
 
-    Built from a sparse ``tensor`` {(a, b): {c: N^c_{ab}}} and kept only as the
-    read-only int64 ``table`` T[a, b, c] = N^c_{ab}, so every query is read-only
-    and thread-safe.  Rings are equal when labels, unit, dual and table are.
-    More than MAX_SIMPLES simples raise TooLargeError.  This is the one check of
-    each fusion entry: a key outside the integers [0, n) or a multiplicity
-    outside the int64 integers, a bool included, raises ValueError naming
-    (a, b, c).  Negative multiplicities are kept, for axiom_violation to report.
+    Built from ``tensor``, either a sparse dict {(a, b): {c: N^c_{ab}}} or an
+    int64 array T[a, b, c] = N^c_{ab} of shape (n, n, n), and kept only as the
+    read-only int64 ``table``, a copy no caller holds, so every query is
+    read-only and thread-safe.  Rings are equal when labels, unit, dual and
+    table are.  More than MAX_SIMPLES simples raise TooLargeError.  This is the
+    one check of each fusion entry: a key outside the integers [0, n) or a
+    multiplicity outside the int64 integers, a bool included, raises ValueError
+    naming (a, b, c), and an array of another shape or dtype (bool and float
+    included) raises ValueError naming both.  Negative multiplicities are kept,
+    for axiom_violation to report.
     """
 
     simples: tuple[str, ...]
@@ -87,20 +97,26 @@ class FusionRing:
     dual: tuple[int, ...]
     table: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, simples, unit_index: int, dual, tensor: dict):
+    def __init__(self, simples, unit_index: int, dual, tensor):
         n = len(simples)
         check_size(n, "fusion ring")
-        table = np.zeros((n,) * 3, dtype=np.int64)
-        for (a, b), fiber in tensor.items():
-            ab = type(a) is type(b) is int and 0 <= a < n and 0 <= b < n
-            for c, m in fiber.items():
-                if not (ab and type(c) is type(m) is int and 0 <= c < n):
-                    _check_entry(a, b, c, m, n)  # numpy ints pass, the rest raise
-                try:
-                    table[a, b, c] = m
-                except OverflowError:
-                    raise ValueError(f"fusion multiplicity at (a, b, c) = ({a}, {b}, {c}) "
-                                     f"must fit in int64, got {m}") from None
+        if isinstance(tensor, np.ndarray):
+            if tensor.shape != (n,) * 3 or tensor.dtype != np.int64:
+                raise ValueError(f"fusion table must be an int64 array of shape "
+                                 f"{(n,) * 3}, got {tensor.dtype} of shape {tensor.shape}")
+            table = tensor.copy()
+        else:
+            table = np.zeros((n,) * 3, dtype=np.int64)
+            for (a, b), fiber in tensor.items():
+                ab = type(a) is type(b) is int and 0 <= a < n and 0 <= b < n
+                for c, m in fiber.items():
+                    if not (ab and type(c) is type(m) is int and 0 <= c < n):
+                        _check_entry(a, b, c, m, n)  # numpy ints pass, the rest raise
+                    try:
+                        table[a, b, c] = m
+                    except OverflowError:
+                        raise ValueError(f"fusion multiplicity at (a, b, c) = ({a}, {b}, "
+                                         f"{c}) must fit in int64, got {m}") from None
         table.setflags(write=False)
         object.__setattr__(self, "simples", tuple(simples))
         object.__setattr__(self, "unit_index", unit_index)

@@ -23,8 +23,10 @@ left.  On the Cartan columns, ``spec.finite``, it finds a Weyl orbit's
 dominant weight; on the extended Cartan columns, ``spec.extended``, in affine
 labels (lambda_1, ..., lambda_r, lambda_0 = k + h_vee - level), it is the
 Kac-Walton fold into the level-k alcove, and a point left on a wall (a zero
-label) cancels.  Simple currents act on the same affine labels, as
-symmetries of the extended Dynkin diagram.
+label) cancels.  ``fusion_coefficients`` folds one pair this way, for
+``tensor_decompose`` and as the oracle of the build, which folds whole rows
+by the same rule in int64 arrays (``modular._fold_rows``).  Simple currents
+act on the same affine labels, as symmetries of the extended Dynkin diagram.
 """
 
 from __future__ import annotations

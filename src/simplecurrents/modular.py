@@ -10,6 +10,11 @@ self-braiding eigenvalue, A and integer grading charges) is one record, its
 read-only table, ``ModularCategoryData.profiles``, built in one loop over
 the invertibles.  ``validate`` is the one check of category data, built or
 loaded, and fills that table.
+
+``build_wzw_data`` makes the level-k fusion table by the Kac-Walton fold in
+int64 arrays, one row of pairs per orbit of the simple currents, written
+straight into an (n, n, n) table that the ring copies; the pair fold of
+``lie.fusion_coefficients`` is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ QDIM_TOL = 1e-9  # tolerance for the +-1 decisions consuming quantum dimensions
 
 #: Largest number of weights in all the weight diagrams of a build, counted
 #: as sum(weyl_dimension) over the alcove, at about 250 bytes a weight.  The
-#: fold makes only the diagram of the smaller argument of each pair it folds,
-#: so this is a conservative upper bound on what a build makes (A18 at level
-#: 1: 524,287 weights counted, 3 diagrams of 39 weights made).  2^23 weights
-#: is about 2 GB, under a third of a 7 GB machine, as for fusion.MAX_SIMPLES.
+#: fold makes the diagrams of the simple-current candidates and of one member
+#: per orbit, so this is a conservative upper bound on what a build makes (A18
+#: at level 1: 524,287 weights counted, 2 diagrams of 20 weights made).  2^23
+#: weights is about 2 GB, under a third of a 7 GB machine, as for
+#: fusion.MAX_SIMPLES.  It also keeps each sum of the fold below 2^53.
 MAX_DIAGRAM_WEIGHTS = 2 ** 23
 
 #: Largest level whose alcove a build counts exactly (lie.alcove_size takes
@@ -81,9 +87,10 @@ class ModularCategoryData:
         for g in fusion.invertibles(ring):
             label = ring.simples[g]
             m = fusion.invertible_order(ring, g)
+            perm = ring.invertible_permutations[g]
             charges = []
             for x in range(self.size):
-                v = _monodromy_turns(ring, den, turns, g, x)
+                v = _monodromy_turns(perm, den, turns, g, x)
                 charge, off = divmod(v * m, den)
                 if off:
                     raise InconsistentDataError(
@@ -159,12 +166,12 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     """Modular data of the level-k category attached to a simple Lie algebra.
 
     Simple objects are the level-k alcove weights in lexicographic order
-    (unit first); the fusion tensor comes from the Kac-Walton fold, one pair
-    per orbit of the simple currents (see _orbit_fold), twists from conformal
-    weights mod 1, quantum dimensions from the sine product.
+    (unit first); the fusion table comes from the Kac-Walton fold, one row of
+    pairs per orbit of the simple currents (see _orbit_fold), twists from
+    conformal weights mod 1, quantum dimensions from the sine product.
     Each call returns a new frozen object, whose ring's table is read-only,
-    and the package keeps none of it.  Each fold makes only the weight
-    diagram of its argument of smaller Weyl dimension.  An alcove of more
+    and the package keeps none of it.  Each alcove weight's Weyl dimension is
+    computed once, for the size bound, and orders the fold.  An alcove of more
     than fusion.MAX_SIMPLES weights is refused with fusion.TooLargeError
     before any weight is listed, and one whose weight diagrams would hold
     more than MAX_DIAGRAM_WEIGHTS weights in all before the fold.
@@ -178,21 +185,23 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
             f"more than the limit of {fusion.MAX_SIMPLES}")
     fusion.check_size(lie.alcove_size(spec, k), name)
     weights = lie.alcove_weights(spec, k)
-    n = len(weights)
-    size = sum(lie.weyl_dimension(spec, w) for w in weights)
+    dims = [lie.weyl_dimension(spec, w) for w in weights]
+    size = sum(dims)
     if size > MAX_DIAGRAM_WEIGHTS:
         raise fusion.TooLargeError(f"{name} has weight diagrams of {size} weights in "
                                    f"all, more than the limit of {MAX_DIAGRAM_WEIGHTS}")
-    tensor, _ = _orbit_fold(spec, k, weights)
+    table, _ = _orbit_fold(spec, k, weights, dims)
     unit = weights.index((0,) * spec.rank)
     # an a with no partner keeps itself, and validate's duality law refuses it
-    dual = [next((b for b in range(n) if unit in tensor[(a, b)]), a) for a in range(n)]
+    dual = [int(row.argmax()) if row.any() else a
+            for a, row in enumerate(table[:, :, unit] != 0)]
     ring = FusionRing(
         simples=tuple(lie.weight_label(w) for w in weights),
         unit_index=unit,
         dual=dual,
-        tensor=tensor,
+        tensor=table,
     )
+    del table  # the ring holds its own copy: one n^3 table, not two, while validate runs
 
     def twist_of(w):
         h = lie.conformal_weight(spec, k, w)
@@ -208,50 +217,138 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     return data
 
 
-def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight]):
-    """The fusion tensor {(a, b): {c: N^c_{ab}}} over every pair of alcove
-    weights, and G, the group of fusion permutations of the simple currents
-    found by the fold, as a list that starts with the identity.
+def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight], dims: list[int]):
+    """The fusion table T[a, b, c] = N^c_{ab}, an (n, n, n) int64 array over the
+    sorted alcove weights, and G, the group of fusion permutations of the
+    simple currents found by the fold, as a list that starts with the identity.
+    dims[a] is the Weyl dimension of weights[a].
 
-    Each k Lambda_j of comark 1 not yet in G is folded with every weight, and
-    its permutation joins G when each product is one simple of multiplicity
-    1 (E8, F4 and G2 have no such node, and G stays trivial).  Then each pair
-    a <= b not yet filled is folded once, and its result fills its orbit under
-    G x G and the swap: N_{Ja,Kb}^{JKc} = N_{ab}^c (J. Fuchs, Simple WZW
-    currents, Commun. Math. Phys. 136, 1991).  validate checks the table.
+    Each k Lambda_j of comark 1 not yet in G has its diagram folded against
+    every weight (_fold_rows), and its permutation joins G when each product is
+    one simple of multiplicity 1 and each simple is one product (E8, F4 and G2
+    have no such node, and G stays trivial).  Then the b are taken in order of
+    (dims[b], b).  b's diagram is made once and folded against each a whose
+    T[a, b] is still unfilled and that is the least of its orbit, and each row
+    fills its orbit under G x G and the swap: N_{Ja,Kb}^{JKc} = N_{ab}^c
+    (J. Fuchs, Simple WZW currents, Commun. Math. Phys. 136, 1991).  That
+    fills the columns of b's whole orbit, so each orbit is folded once, by its
+    member of least dimension, against the orbits that come after it: the
+    smaller diagram of each pair, up to the orbit.
+    validate checks the table.
     """
+    import numpy as np
+
     n = len(weights)
-    index = {w: i for i, w in enumerate(weights)}
-    unit = index[(0,) * spec.rank]
-
-    def fold(a, b):
-        prod = lie.fusion_coefficients(spec, k, weights[a], weights[b])
-        return {index[w]: m for w, m in prod.items()}
-
-    tensor: dict[tuple[int, int], dict[int, int]] = {}
+    index = _alcove_index(spec, k)
+    unit = weights.index((0,) * spec.rank)
+    table = np.zeros((n, n, n), dtype=np.int64)
+    filled = np.zeros((n, n), dtype=bool)
     generators = [tuple(range(n))]
     group = generators
     for j in range(spec.rank):
         if spec.comark[j] != 1:
             continue
-        g = index[tuple(k * (i == j) for i in range(spec.rank))]
+        g = weights.index(tuple(k * (i == j) for i in range(spec.rank)))
         if any(perm[unit] == g for perm in group):
             continue
-        row = [fold(g, x) for x in range(n)]
-        for x, fiber in enumerate(row):
-            tensor[(g, x)] = tensor[(x, g)] = fiber
-        if all(list(fiber.values()) == [1] for fiber in row):
-            generators.append(tuple(next(iter(fiber)) for fiber in row))
+        row = _fold_rows(spec, k, weights, index, g, range(n))  # [x, c] = N^c_{x g}
+        table[g] = table[:, g] = row
+        filled[g] = filled[:, g] = True
+        if (row.sum(axis=0) == 1).all() and (row.sum(axis=1) == 1).all():
+            generators.append(tuple(row.argmax(axis=1).tolist()))
             group = groups.close_under_composition(generators)
-    for a in range(n):
-        for b in range(a, n):
-            if (a, b) not in tensor:
-                prod = fold(a, b)
-                for J in group:
-                    for K in group:
-                        fiber = {J[K[c]]: m for c, m in prod.items()}
-                        tensor[(J[a], K[b])] = tensor[(K[b], J[a])] = fiber
-    return tensor, group
+    perms = np.array(group)
+    least = perms.min(axis=0) == np.arange(n)  # a is the least of its orbit
+    for b in sorted(range(n), key=lambda x: (dims[x], x)):
+        rows = np.flatnonzero(~filled[:, b] & least)
+        if not rows.size:
+            continue
+        prod = _fold_rows(spec, k, weights, index, b, rows.tolist())
+        ja = perms[:, rows]  # [J, a] = J(a)
+        for K in perms:
+            jk = perms[:, K]  # [J, c] = J(K(c))
+            table[ja[:, :, None], K[b], jk[:, None, :]] = prod
+            table[K[b], ja[:, :, None], jk[:, None, :]] = prod
+            filled[ja, K[b]] = filled[K[b], ja] = True
+    return table, group
+
+
+def _fold_rows(spec: LieAlgebraSpec, k: int, weights: list[Weight], index, b: int, rows):
+    """N^c_{ab} over every c for each a in ``rows``, as an int64 array
+    (len(rows), n), from the weight diagram of b (Kac-Walton, as
+    lie.fusion_with_second_diagram, in arrays): each point lambda_a + rho + nu,
+    in affine labels, is reflected in its first negative label, its sign
+    flipped, until none is left; a point left with a zero label cancels, and
+    the rest are summed at their alcove weight.  ArithmeticError on a negative
+    sum.  The rows are folded in chunks of at most fusion.FOLD_CHUNK_BYTES of
+    points; index maps labels to alcove positions (_alcove_index).
+    """
+    import numpy as np
+
+    n, r = len(weights), spec.rank
+    comark = np.array(spec.comark, dtype=np.int64)
+    columns = np.array(spec.extended, dtype=np.int64)
+    diagram = lie.weight_multiplicities(spec, weights[b])
+    size = len(diagram)
+    nu = np.array(list(diagram), dtype=np.int64)
+    nu = np.column_stack([nu, -(nu @ comark)])
+    mult = np.fromiter(diagram.values(), dtype=np.int64, count=size)
+    lam = np.array([weights[a] for a in rows], dtype=np.int64) + 1
+    shifted = np.column_stack([lam, k + spec.dual_coxeter - lam @ comark])
+    out = np.empty((len(rows), n), dtype=np.int64)
+    step = max(1, fusion.FOLD_CHUNK_BYTES // (8 * (r + 1) * size))
+    for lo in range(0, len(rows), step):
+        point = (shifted[lo:lo + step, None, :] + nu).reshape(-1, r + 1)
+        sign = np.tile(mult, len(point) // size)
+        live = np.flatnonzero((point < 0).any(axis=1))
+        while live.size:
+            sub = point[live]
+            i = (sub < 0).argmax(axis=1)
+            sub -= sub[np.arange(live.size), i, None] * columns[i]
+            point[live] = sub
+            sign[live] = -sign[live]
+            live = live[(sub < 0).any(axis=1)]
+        keep = np.flatnonzero(point.min(axis=1) > 0)
+        cell = keep // size * n + index(point[keep, :r] - 1)
+        # each cell sums at most dim(b) <= MAX_DIAGRAM_WEIGHTS < 2^53 in absolute
+        # value, so bincount's float64 sums are exact
+        sums = np.bincount(cell, weights=sign[keep], minlength=len(point) // size * n)
+        out[lo:lo + step] = sums.reshape(-1, n).astype(np.int64)
+    for row in out[(out < 0).any(axis=1)][:1]:
+        bad = {weights[c]: int(row[c]) for c in np.flatnonzero(row < 0)}
+        raise ArithmeticError(f"negative fusion multiplicity at {bad}")
+    return out
+
+
+def _alcove_index(spec: LieAlgebraSpec, k: int):
+    """The function taking an (m, rank) int64 array of alcove weights to their
+    positions among the sorted alcove weights, with no number above their count.
+
+    The weights before lambda are, for each i, those that agree with it on the
+    labels before i and have a smaller label i: skip[i][b, x] counts them for
+    lambda_i = x with level b left, from tail[b], the count of the labels after
+    i of level at most b (as in lie.alcove_size).
+    """
+    import numpy as np
+
+    levels = np.arange(k + 1)
+    tail = np.ones(k + 1, dtype=np.int64)
+    skip = []
+    for c in reversed(spec.comark):
+        left = levels[:, None] - c * levels[None, :]  # [b, x]
+        counts = np.where(left >= 0, tail[np.maximum(left, 0)], 0)
+        skip.append(np.cumsum(counts, axis=1) - counts)
+        tail = counts.sum(axis=1)
+    skip.reverse()
+
+    def index(labels):
+        out = np.zeros(len(labels), dtype=np.int64)
+        left = np.full(len(labels), k)
+        for i, c in enumerate(spec.comark):
+            out += skip[i][left, labels[:, i]]
+            left -= c * labels[:, i]
+        return out
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +363,8 @@ def monodromy(data: ModularCategoryData, g: int, x: int) -> RationalAngle:
     common denominator.
     """
     den, turns = _turns(data.twist)
-    return RationalAngle(_monodromy_turns(data.ring, den, turns, g, x), den)
+    perm = fusion.fuse_permutation(data.ring, g)
+    return RationalAngle(_monodromy_turns(perm, den, turns, g, x), den)
 
 
 def _turns(twist: tuple[RationalAngle, ...]) -> tuple[int, list[int]]:
@@ -276,11 +374,12 @@ def _turns(twist: tuple[RationalAngle, ...]) -> tuple[int, list[int]]:
     return den, [t.num * (den // t.den) for t in twist]
 
 
-def _monodromy_turns(ring: FusionRing, den: int, turns: list[int], g: int, x: int) -> int:
-    """v in [0, den) with monodromy(g, x) = v / den, from the twists as turns
-    over den (see _turns): the one twist difference of the package."""
-    y = fusion.fuse_permutation(ring, g)[x]
-    return (turns[y] - turns[g] - turns[x]) % den
+def _monodromy_turns(perm: tuple[int, ...], den: int, turns: list[int], g: int,
+                     x: int) -> int:
+    """v in [0, den) with monodromy(g, x) = v / den, from perm, the fusion
+    permutation of g, and the twists as turns over den (see _turns): the one
+    twist difference of the package."""
+    return (turns[perm[x]] - turns[g] - turns[x]) % den
 
 
 def grading(profile: InvertibleProfile, zeta: RationalAngle) -> tuple[int, ...]:

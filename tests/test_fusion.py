@@ -531,6 +531,47 @@ class TestConstruction:
         assert fusion.MAX_SIMPLES >= 165
 
 
+class TestTableInput:
+    @staticmethod
+    def z2_table(dtype=np.int64):
+        table = np.zeros((2, 2, 2), dtype=dtype)
+        table[0, 0, 0] = table[0, 1, 1] = table[1, 0, 1] = table[1, 1, 0] = 1
+        return table
+
+    def test_table_gives_the_ring_of_its_entries(self, sl4_level2):
+        ring = sl4_level2.ring
+        assert FusionRing(ring.simples, ring.unit_index, ring.dual, ring.table) == ring
+        assert dataclasses.replace(ring, tensor=ring.table) == ring
+        z2 = FusionRing(("0", "g"), 0, (0, 1), self.z2_table())
+        assert z2.tensor == {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+
+    @pytest.mark.parametrize("table,got", [
+        (np.zeros((2, 2), dtype=np.int64), "int64 of shape (2, 2)"),
+        (np.zeros((2, 2, 3), dtype=np.int64), "int64 of shape (2, 2, 3)"),
+        (np.zeros((3, 3, 3), dtype=np.int64), "int64 of shape (3, 3, 3)"),
+        (z2_table(np.float64), "float64 of shape (2, 2, 2)"),
+        (z2_table(bool), "bool of shape (2, 2, 2)"),
+        (z2_table(np.int32), "int32 of shape (2, 2, 2)")])
+    def test_other_shapes_and_dtypes_refused(self, table, got):
+        with pytest.raises(ValueError) as exc:
+            FusionRing(("0", "g"), 0, (0, 1), table)
+        assert str(exc.value) == (
+            f"fusion table must be an int64 array of shape (2, 2, 2), got {got}")
+
+    def test_table_is_a_read_only_copy(self):
+        table = self.z2_table()
+        ring = FusionRing(("0", "g"), 0, (0, 1), table)
+        table[1, 1, 0] = 5
+        assert ring.table[1, 1, 0] == 1 and not np.shares_memory(ring.table, table)
+        with pytest.raises(ValueError):
+            ring.table[1, 1, 0] = 5
+
+    def test_too_many_simples_refused_before_the_table_is_read(self):
+        labels = tuple(str(i) for i in range(fusion.MAX_SIMPLES + 1))
+        with pytest.raises(TooLargeError):
+            FusionRing(labels, 0, range(len(labels)), np.zeros((1, 1, 1), dtype=np.int64))
+
+
 class TestReadOnly:
     def test_table_is_read_only(self, sl4_level2):
         with pytest.raises(ValueError):

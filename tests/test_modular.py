@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from simplecurrents import catfile, currents, fusion, lie, modular
@@ -52,6 +53,7 @@ class TestBuild:
         def no_fold(*args):
             raise AssertionError("fold started")
         monkeypatch.setattr(lie, "fusion_coefficients", no_fold)
+        monkeypatch.setattr(modular, "_fold_rows", no_fold)
         level = fusion.MAX_SIMPLES  # the A1 alcove at level k has k + 1 weights
         with pytest.raises(fusion.TooLargeError) as exc:
             modular.build_wzw_data(lie.lie_algebra("A", 1), level)
@@ -116,6 +118,7 @@ class TestBuild:
         def no_diagram(*args):
             raise AssertionError("diagram or fold started")
         monkeypatch.setattr(lie, "fusion_coefficients", no_diagram)
+        monkeypatch.setattr(modular, "_fold_rows", no_diagram)
         monkeypatch.setattr(lie, "weight_multiplicities", no_diagram)
         # the A_r alcove at level 1 has r + 1 weights, whose dimensions sum to 2^(r+1) - 1
         with pytest.raises(fusion.TooLargeError) as exc:
@@ -278,11 +281,14 @@ class TestValidation:
     def test_build_refuses_a_ring_without_duals(self, monkeypatch):
         # L1 (x) L1 at A1 k=1 made L1 instead of the unit: L1 has no dual, so
         # it keeps itself and validate's duality law refuses the ring
-        fold = lie.fusion_coefficients
+        fold = modular._fold_rows
 
-        def no_unit(spec, k, lam, mu):
-            return {(1,): 1} if (lam, mu) == ((1,), (1,)) else fold(spec, k, lam, mu)
-        monkeypatch.setattr(lie, "fusion_coefficients", no_unit)
+        def no_unit(spec, k, weights, index, b, rows):
+            out = fold(spec, k, weights, index, b, rows)
+            if weights[b] == (1,):  # L1's row
+                out[list(rows).index(1)] = (0, 1)
+            return out
+        monkeypatch.setattr(modular, "_fold_rows", no_unit)
         with pytest.raises(InconsistentDataError) as exc:
             modular.build_wzw_data(lie.lie_algebra("A", 1), 1)
         assert str(exc.value) == "fusion axioms fail: duality fails: N^unit_{1,1} = 0"
@@ -467,6 +473,24 @@ FOLD_CATEGORIES = sorted({*GOLDEN_SHA256, ("D", 5, 2), ("E", 7, 2), ("A", 1, 40)
                           ("A", 2, 10), ("G", 2, 3), ("F", 4, 2)})
 
 
+def orbit_fold(spec, level):
+    """modular._orbit_fold over the sorted alcove weights and their dimensions."""
+    weights = lie.alcove_weights(spec, level)
+    return modular._orbit_fold(spec, level, weights,
+                               [lie.weyl_dimension(spec, w) for w in weights])
+
+
+def recorded_folds(monkeypatch):
+    """The (b, rows) of each modular._fold_rows call, in call order."""
+    calls, fold = [], modular._fold_rows
+
+    def recorded(spec, k, weights, index, b, rows):
+        calls.append((b, list(rows)))
+        return fold(spec, k, weights, index, b, rows)
+    monkeypatch.setattr(modular, "_fold_rows", recorded)
+    return calls
+
+
 class TestOrbitFold:
     @pytest.mark.parametrize("family,rank,level", FOLD_CATEGORIES)
     def test_filled_table_equals_the_full_fold(self, family, rank, level):
@@ -477,7 +501,7 @@ class TestOrbitFold:
     @pytest.mark.parametrize("family,rank,level", FOLD_CATEGORIES)
     def test_group_is_the_invertible_permutations(self, family, rank, level):
         spec = lie.lie_algebra(family, rank)
-        _, group = modular._orbit_fold(spec, level, lie.alcove_weights(spec, level))
+        _, group = orbit_fold(spec, level)
         data = modular.build_wzw_data(spec, level)
         perms = data.ring.invertible_permutations
         if (family, rank, level) == ("E", 8, 2):
@@ -489,31 +513,65 @@ class TestOrbitFold:
             assert sorted(group) == sorted(perms.values())
 
     def test_fold_count_of_a2_level_10(self, monkeypatch):
-        spec, calls = lie.lie_algebra("A", 2), []
-        fold = lie.fusion_coefficients
-
-        def counted(*args):
-            calls.append(args)
-            return fold(*args)
-        monkeypatch.setattr(lie, "fusion_coefficients", counted)
-        tensor, group = modular._orbit_fold(spec, 10, lie.alcove_weights(spec, 10))
-        assert len(tensor) == 66 ** 2 and len(group) == 3
-        assert len(calls) <= 319  # of the 2211 pairs a <= b
+        # the row of 10 L1, then one row per orbit of Z3: of the 66^2 entries
+        # T[a, b], 319 are folded and the rest filled from their orbits
+        spec = lie.lie_algebra("A", 2)
+        calls = recorded_folds(monkeypatch)
+        table, group = orbit_fold(spec, 10)
+        assert table.shape == (66,) * 3 and len(group) == 3
+        assert len(calls) == 23 == len({b for b, _ in calls})
+        assert sum(len(rows) for _, rows in calls) == 319
 
     def test_rejected_candidates_fold_once(self, monkeypatch):
         # every comark of C3 is 1, but of 3 L1, 3 L2 and 3 L3 at level 3 only
-        # 3 L3 is a current; the rows of the other two stay in the table
-        spec, calls = lie.lie_algebra("C", 3), []
-        fold = lie.fusion_coefficients
-
-        def counted(spec, k, lam, mu):
-            calls.append((lam, mu))
-            return fold(spec, k, lam, mu)
-        monkeypatch.setattr(lie, "fusion_coefficients", counted)
-        _, group = modular._orbit_fold(spec, 3, lie.alcove_weights(spec, 3))
+        # 3 L3 is a current; each candidate's row is folded once, and the rows
+        # of the other two stay in the table
+        spec, level = lie.lie_algebra("C", 3), 3
+        weights = lie.alcove_weights(spec, level)
+        calls = recorded_folds(monkeypatch)
+        table, group = orbit_fold(spec, level)
         assert spec.comark == (1, 1, 1) and len(group) == 2
-        assert len(calls) == len(set(calls))
-        assert {(3, 0, 0), (0, 3, 0), (0, 0, 3)} <= {lam for lam, _ in calls}
+        candidates = [weights.index(w) for w in [(3, 0, 0), (0, 3, 0), (0, 0, 3)]]
+        assert calls[:3] == [(g, list(range(len(weights)))) for g in candidates]
+        assert len(calls) == len({b for b, _ in calls})  # each diagram folded once
+        for g in candidates[:2]:
+            for x, w in enumerate(weights):
+                row = {weights[c]: m for c, m in enumerate(table[g, x].tolist()) if m}
+                assert row == lie.fusion_coefficients(spec, level, weights[g], w)
+                assert (table[x, g] == table[g, x]).all()
+
+    def test_negative_sum_refused(self, monkeypatch):
+        # a diagram of the one weight -3 L1 folds into L1 with sign -1 at A1 k=2
+        spec = lie.lie_algebra("A", 1)
+        weights = lie.alcove_weights(spec, 2)
+        monkeypatch.setattr(lie, "weight_multiplicities", lambda spec, lam: {(-3,): 1})
+        with pytest.raises(ArithmeticError) as exc:
+            modular._fold_rows(spec, 2, weights, modular._alcove_index(spec, 2), 1, [0])
+        assert str(exc.value) == "negative fusion multiplicity at {(1,): -1}"
+
+    @pytest.mark.parametrize("family,rank,level", [("C", 3, 3), ("A", 2, 10), ("D", 4, 2)])
+    def test_chunked_fold_equals_the_unchunked(self, monkeypatch, family, rank, level):
+        spec = lie.lie_algebra(family, rank)
+        whole, group = orbit_fold(spec, level)
+        for budget in (1, 2 ** 12):  # one row a chunk, then chunks of a few rows
+            monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", budget)
+            table, chunked_group = orbit_fold(spec, level)
+            assert (table == whole).all() and chunked_group == group
+
+    @pytest.mark.parametrize("family,rank,level", [
+        ("A", 1, 399), ("A", 22, 1), ("C", 3, 7), ("G", 2, 15), ("E", 8, 2), ("D", 5, 3)])
+    def test_alcove_index_is_the_sorted_position(self, family, rank, level):
+        spec = lie.lie_algebra(family, rank)
+        weights = lie.alcove_weights(spec, level)
+        labels = np.array(weights, dtype=np.int64).reshape(len(weights), rank)
+        assert modular._alcove_index(spec, level)(labels).tolist() == list(range(len(weights)))
+
+    def test_widest_alcove_builds(self):
+        # A22 at level 1, the most labels of any build the bounds admit: Z/23
+        data = modular.build_wzw_data(lie.lie_algebra("A", 22), 1)
+        assert data.size == 23 == len(data.ring.invertible_permutations)
+        perm = fusion.fuse_permutation(data.ring, data.ring.index("L1"))
+        assert fusion.invertible_order(data.ring, perm[0]) == 23
 
 
 def cold_build(spec, level):
@@ -526,35 +584,37 @@ class TestDiagramsMade:
     @pytest.mark.parametrize("family,rank,level", [
         ("A", 3, 4), ("D", 4, 2), ("B", 4, 2), ("C", 3, 3), ("G", 2, 3), ("E", 6, 2)])
     def test_fold_order_is_the_diagram_sum_order(self, monkeypatch, family, rank, level):
-        # the old rule as oracle: fold mu unless mu's diagram sums to more than lam's
-        spec, asked, folded = lie.lie_algebra(family, rank), [], []
-        coefficients = lie.fusion_coefficients
-        directional = lie.fusion_with_second_diagram
+        # after the candidate rows, the b whose column is not yet filled are
+        # folded in order of (diagram sum, index), one per orbit, each once and
+        # against a's of no smaller diagram, one per orbit
+        spec = lie.lie_algebra(family, rank)
+        weights = lie.alcove_weights(spec, level)
+        dims = [lie.weyl_dimension(spec, w) for w in weights]
+        candidates = {weights.index(tuple(level * (i == j) for i in range(rank)))
+                      for j in range(rank) if spec.comark[j] == 1}
+        calls = recorded_folds(monkeypatch)
+        _, group = orbit_fold(spec, level)
+        rows = [(b, a) for b, a in calls if b not in candidates]
+        assert [b for b, _ in rows] == sorted({b for b, _ in rows}, key=lambda x: (dims[x], x))
+        assert len({min(perm[b] for perm in group) for b, _ in rows}) == len(rows)
+        for b, a in rows:
+            assert all(dims[x] >= dims[b] and min(perm[x] for perm in group) == x for x in a)
 
-        def asking(spec, k, lam, mu):
-            asked.append((lam, mu))
-            return coefficients(spec, k, lam, mu)
+    # the diagrams the row fold makes: those of the candidate currents and one
+    # per orbit row, fewer than the alcove weights
+    ROW_FOLD_MADE = {("A", 7, 1): 2, ("A", 14, 1): 2, ("A", 18, 1): 2, ("A", 5, 2): 5,
+                     ("D", 4, 2): 7, ("A", 3, 4): 11, ("A", 2, 10): 23}
 
-        def folding(spec, k, lam, mu):
-            folded.append((lam, mu))
-            return directional(spec, k, lam, mu)
-        monkeypatch.setattr(lie, "fusion_coefficients", asking)
-        monkeypatch.setattr(lie, "fusion_with_second_diagram", folding)
-        cold_build(spec, level)
-
-        def size(w):
-            return sum(lie.weight_multiplicities(spec, w).values())
-        assert folded == [(mu, lam) if size(mu) > size(lam) else (lam, mu)
-                          for lam, mu in asked]
-
-    @pytest.mark.parametrize("family,rank,level,made", [
+    # the last figure is what the pair fold made, one diagram per folded pair's
+    # smaller argument; the row fold makes no more
+    @pytest.mark.parametrize("family,rank,level,pair_fold_made", [
         ("A", 7, 1, 3), ("A", 14, 1, 3), ("A", 18, 1, 3), ("A", 5, 2, 8),
         ("D", 4, 2, 9), ("A", 3, 4, 17), ("A", 2, 10, 40)])
-    def test_diagrams_made_per_cold_build(self, family, rank, level, made):
-        # only the smaller argument of each folded pair has its diagram made,
-        # so fewer diagrams than alcove weights
+    def test_diagrams_made_per_cold_build(self, family, rank, level, pair_fold_made):
         data = cold_build(lie.lie_algebra(family, rank), level)
-        assert lie.weight_multiplicities.cache_info().misses == made < data.size
+        made = lie.weight_multiplicities.cache_info().misses
+        assert made == self.ROW_FOLD_MADE[family, rank, level] < data.size
+        assert made <= pair_fold_made
 
 
 # every category the suite builds
