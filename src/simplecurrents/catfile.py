@@ -21,10 +21,16 @@ reaches the caller as CategoryFileError.  On load the types of the fusion
 quads and the twists are checked by one bulk gate, and an entry-by-entry scan
 runs only when it fails, to name the first bad entry.
 
-``dumps_canonical`` writes exactly the bytes of ``json.dumps(payload,
-sort_keys=True, indent=1, ensure_ascii=False)``, but formats the fusion quads,
-nearly all of a file, in one pass of one repeated format string, behind a gate
-that lets only lists of four Python ints through.
+One serializer, ``_canonical_chunks``, gives exactly the bytes of
+``json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False)`` + "\\n".
+It writes the fusion quads, nearly all of a file, from an (m, 4) int64 array,
+a few thousand quads at a time: each distinct value of a chunk is made into
+decimal text once, and the chunk's text is the non-NUL bytes of a cell array
+of those words between fixed separators.  ``save_category`` streams these
+bytes from the ring's table into the file, which it opens only once every
+check has passed; ``dumps_canonical`` joins them into a str, and also takes a
+list of lists of four Python ints, each within int64, behind a gate that
+names the first entry that is not.
 """
 
 from __future__ import annotations
@@ -49,23 +55,27 @@ class CategoryFileError(ValueError):
     """A category file failed to parse or validate."""
 
 
-def category_to_payload(data: ModularCategoryData, source) -> dict:
+def _table_payload(data: ModularCategoryData, source) -> dict:
+    """The payload of ``data``, its "fusion" the (m, 4) int64 array of the
+    table's nonzero entries [a, b, c, N], sorted by (a, b, c)."""
     ring = data.ring
     t = ring.table
-    quads = np.column_stack([np.argwhere(t), t[t != 0]]).tolist()  # sorted by (a, b, c)
     return {
         "schema_version": SCHEMA_VERSION,
         "source": source,
         "simples": list(ring.simples),
         "dual": list(ring.dual),
-        "fusion": quads,
+        "fusion": np.column_stack([np.argwhere(t), t[t != 0]]),
         "twists": [list(t.pair) for t in data.twist],
         "qdims": list(data.qdim),
     }
 
 
-#: One fusion quad as ``json.dumps(indent=1)`` writes it inside the top-level list.
-_QUAD = "  [\n   %d,\n   %d,\n   %d,\n   %d\n  ]"
+def category_to_payload(data: ModularCategoryData, source) -> dict:
+    """The payload of ``data`` as json.dumps takes it: "fusion" is a list of
+    [a, b, c, N] lists of Python ints."""
+    payload = _table_payload(data, source)
+    return {**payload, "fusion": payload["fusion"].tolist()}
 
 
 def _int_rows(rows, length: int) -> bool:
@@ -75,25 +85,81 @@ def _int_rows(rows, length: int) -> bool:
             and set(map(type, chain.from_iterable(rows))) <= {int})
 
 
-def dumps_canonical(payload: dict) -> str:
-    """The canonical text of ``payload``: json.dumps(payload, sort_keys=True,
-    indent=1, ensure_ascii=False) + "\\n", byte for byte.  ``payload["fusion"]``
-    must be a list of lists of four Python ints, else ValueError names the
-    first entry that is not."""
-    quads = payload["fusion"]
+def _quad_array(quads) -> np.ndarray:
+    """payload["fusion"] as an (m, 4) int64 array: either that array itself or
+    a list of lists of four Python ints within int64; else ValueError naming
+    the first entry that is not."""
+    if isinstance(quads, np.ndarray):
+        if quads.dtype != np.int64 or quads.ndim != 2 or quads.shape[1] != 4:
+            raise ValueError(f"fusion array must be int64 of shape (m, 4), "
+                             f"got {quads.dtype} of shape {quads.shape}")
+        return quads
     if not _int_rows(quads, 4):
         if type(quads) is not list:
             raise ValueError(f"fusion must be a list, got {quads!r}")
         i = next(i for i, q in enumerate(quads) if not _int_rows([q], 4))
         raise ValueError(f"fusion[{i}] must be a list of four ints, got {quads[i]!r}")
+    try:
+        return np.fromiter(chain.from_iterable(quads), np.int64,
+                           4 * len(quads)).reshape(-1, 4)
+    except OverflowError:
+        i = next(i for i, q in enumerate(quads)
+                 if not all(-2 ** 63 <= x < 2 ** 63 for x in q))
+        raise ValueError(f"fusion[{i}] must fit in int64, got {quads[i]!r}") from None
+
+
+#: Quads formatted at a time: the cell array of a chunk stays a few hundred kB.
+_CHUNK = 4096
+#: The text around one quad's four values, as json.dumps(indent=1) writes it
+#: inside the top-level list; the last quad drops the final ",\n".
+_SEPARATORS = (b"  [\n   ", b",\n   ", b",\n   ", b",\n   ", b"\n  ],\n")
+
+
+def _quad_text(quads: np.ndarray):
+    """Yield the UTF-8 text of the quads, ``_CHUNK`` quads at a time.  Each
+    distinct value of a chunk is written once, by str(int) as json.dumps
+    writes it, into a zero-padded (m, 9) cell array between the separators;
+    its bytes without the NULs are the text, since no word or separator holds
+    a NUL."""
+    for start in range(0, len(quads), _CHUNK):
+        chunk = quads[start:start + _CHUNK]
+        lo, hi = int(chunk.min()), int(chunk.max())
+        if hi - lo < chunk.size:  # dense, as in every built file: no sort
+            values, inverse = range(lo, hi + 1), chunk - lo
+        else:
+            values, inverse = np.unique(chunk, return_inverse=True)
+            values = values.tolist()
+        words = np.array([str(v) for v in values], dtype="S")
+        cells = np.zeros((len(chunk), 9), dtype=f"S{max(7, words.itemsize)}")
+        cells[:, 0::2] = _SEPARATORS
+        # numpy 1.x and 2.x shape the inverse differently
+        cells[:, 1::2] = words[inverse.reshape(chunk.shape)]
+        text = cells.tobytes().translate(None, b"\0")
+        yield text if start + _CHUNK < len(quads) else text[:-2]
+
+
+def _canonical_chunks(payload: dict):
+    """Check ``payload["fusion"]`` (see ``_quad_array``), then return an
+    iterator over the UTF-8 bytes of its canonical text: json.dumps(payload,
+    sort_keys=True, indent=1, ensure_ascii=False) + "\\n"."""
+    quads = _quad_array(payload["fusion"])
     text = json.dumps({**payload, "fusion": []}, sort_keys=True, indent=1,
                       ensure_ascii=False)
-    if quads:
-        # only top-level keys start a line with one space and a quote
-        head, _, tail = text.partition('\n "fusion": []')
-        body = ",\n".join([_QUAD] * len(quads)) % tuple(chain.from_iterable(quads))
-        text = f'{head}\n "fusion": [\n{body}\n ]{tail}'
-    return text + "\n"
+    if not len(quads):
+        return iter([f"{text}\n".encode()])
+    # only top-level keys start a line with one space and a quote
+    head, _, tail = text.partition('\n "fusion": []')
+    return chain([f'{head}\n "fusion": [\n'.encode()], _quad_text(quads),
+                 [f"\n ]{tail}\n".encode()])
+
+
+def dumps_canonical(payload: dict) -> str:
+    """The canonical text of ``payload``: json.dumps(payload, sort_keys=True,
+    indent=1, ensure_ascii=False) + "\\n", byte for byte.  ``payload["fusion"]``
+    is an (m, 4) int64 array or a list of lists of four Python ints within
+    int64, else ValueError names the array's dtype and shape or the first
+    entry that is not."""
+    return b"".join(_canonical_chunks(payload)).decode()
 
 
 def _ints(length: int):
@@ -195,8 +261,11 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
 
 
 def save_category(path, data: ModularCategoryData, source) -> None:
-    Path(path).write_text(dumps_canonical(category_to_payload(data, source)),
-                          encoding="utf-8")
+    """Write the canonical file of ``data``, streamed from its fusion table;
+    the file is opened only once the payload has passed its checks."""
+    chunks = _canonical_chunks(_table_payload(data, source))
+    with open(path, "wb") as f:
+        f.writelines(chunks)
 
 
 def load_category(path) -> tuple[ModularCategoryData, object]:

@@ -158,21 +158,24 @@ def _symmetrizer(cartan: list[list[int]]) -> list[Fraction]:
     return [x / longest for x in d]
 
 
-def _invert_exact(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse over the rationals."""
+def _invert_exact(m: list[list[int]]) -> list[list[Fraction]]:
+    """Inverse of an invertible integer matrix, by Gauss-Jordan in integer row
+    operations: a row is cleared in the pivot's column by scaling it by the
+    pivot, then divided by the gcd of its entries.  Row i ends as aug[i][i]
+    times e_i beside aug[i][i] times row i of the inverse."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        p = aug[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            f = aug[r][col]
+            if r != col and f != 0:
+                row = [x * p[col] - f * y for x, y in zip(aug[r], p)]
+                g = math.gcd(*row)
+                aug[r] = [x // g for x in row]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
 def _positive_roots(finite) -> list[tuple[tuple[int, ...], Weight]]:
@@ -203,16 +206,17 @@ def lie_algebra(family: str, rank: int) -> LieAlgebraSpec:
     cartan = _cartan_matrix(family, rank)
     d = _symmetrizer(cartan)
     # (Lambda_i, Lambda_j): G A = diag(d), hence G = diag(d) A^{-1}.
-    ainv = _invert_exact([[Fraction(x) for x in row] for row in cartan])
+    ainv = _invert_exact(cartan)
     gram = [[d[i] * ainv[i][j] for j in range(rank)] for i in range(rank)]
     s = math.lcm(*(x.denominator for row in gram for x in row),
                  *(x.denominator for x in d))
 
     finite = tuple(zip(*cartan))
     positive = _positive_roots(finite)
+    scaled_d = [int(di * s) for di in d]
     roots = []
     for c, labels in positive:
-        pairing = tuple(int(di * s) * x for di, x in zip(d, c))
+        pairing = tuple(map(mul, scaled_d, c))
         roots.append((labels, sum(c), pairing, sum(map(mul, pairing, labels))))
 
     # Highest root (the one of greatest height, listed last), dual marks, columns.

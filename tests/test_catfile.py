@@ -238,12 +238,17 @@ GOLDEN_SHA256 = {
 
 
 @pytest.mark.parametrize("family,rank,level", sorted(GOLDEN_SHA256))
-def test_built_file_matches_golden_hash(family, rank, level):
+def test_built_file_matches_golden_hash(tmp_path, family, rank, level):
+    # through the list payload and dumps_canonical, and through the file
+    # that save_category streams from the table
     data = modular.build_wzw_data(lie.lie_algebra(family, rank), level)
-    text = catfile.dumps_canonical(catfile.category_to_payload(
-        data, {"family": family, "rank": rank, "level": level}))
+    source = {"family": family, "rank": rank, "level": level}
+    text = catfile.dumps_canonical(catfile.category_to_payload(data, source))
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
             == GOLDEN_SHA256[family, rank, level])
+    path = tmp_path / "cat.json"
+    catfile.save_category(path, data, source)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[family, rank, level]
 
 
 def test_built_ring_unchanged_by_editing_its_tensor(tmp_path):
@@ -357,6 +362,69 @@ class TestWriter:
         with pytest.raises(ValueError) as exc:
             catfile.dumps_canonical(edited("fusion", None, "[]"))
         assert str(exc.value) == "fusion must be a list, got '[]'"
+
+    @given(st.lists(st.lists(INT64, min_size=4, max_size=4), max_size=12),
+           st.sampled_from([1, 3, catfile._CHUNK]))
+    @example([[0, 0, 0, 2 ** 63 - 1], [1, 2, 3, -2 ** 63]], 1)  # one word per chunk
+    @example([[-2 ** 63, -2 ** 63, -2 ** 63, -2 ** 63 + 1]], 3)  # offsets from -2^63
+    @example([[0, 1, 2, 3]] * 7, 3)  # 7 = 3 + 3 + 1 quads
+    def test_array_payload_byte_identical_to_json_dumps(self, quads, chunk):
+        payload = {**semion_payload(), "fusion": np.array(quads, np.int64).reshape(-1, 4)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(catfile, "_CHUNK", chunk)
+            assert catfile.dumps_canonical(payload) == json_dumps({**payload, "fusion": quads})
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_chunk_boundaries_leave_the_file_unchanged(self, tmp_path, monkeypatch,
+                                                       sl4_level2, chunk):
+        source = {"family": "A", "rank": 3, "level": 2}
+        monkeypatch.setattr(catfile, "_CHUNK", chunk)
+        path = tmp_path / "A3-2.json"
+        catfile.save_category(path, sl4_level2, source)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["A", 3, 2]
+        assert path.read_text(encoding="utf-8") == catfile.dumps_canonical(
+            catfile.category_to_payload(sl4_level2, source))
+
+    @pytest.mark.parametrize("quads,shown", [
+        (np.zeros((2, 4), np.int32), "int32 of shape (2, 4)"),
+        (np.zeros((2, 4), np.uint64), "uint64 of shape (2, 4)"),
+        (np.zeros((2, 4)), "float64 of shape (2, 4)"),
+        (np.zeros((2, 3), np.int64), "int64 of shape (2, 3)"),
+        (np.zeros(8, np.int64), "int64 of shape (8,)"),
+        (np.zeros((2, 2, 4), np.int64), "int64 of shape (2, 2, 4)"),
+    ])
+    def test_array_of_another_dtype_or_shape_refused(self, quads, shown):
+        with pytest.raises(ValueError) as exc:
+            catfile.dumps_canonical({**semion_payload(), "fusion": quads})
+        assert str(exc.value) == f"fusion array must be int64 of shape (m, 4), got {shown}"
+
+    @pytest.mark.parametrize("quad", [[0, 0, 0, 2 ** 63], [0, -2 ** 63 - 1, 0, 1],
+                                      [2 ** 100, 0, 0, 1]])
+    def test_quad_outside_int64_refused(self, quad):
+        payload = semion_payload()
+        payload["fusion"][2] = quad
+        with pytest.raises(ValueError) as exc:
+            catfile.dumps_canonical(payload)
+        assert str(exc.value) == f"fusion[2] must fit in int64, got {quad!r}"
+
+    @pytest.mark.parametrize("fault", ["source", "table"])
+    def test_refused_save_leaves_the_file_untouched(self, tmp_path, monkeypatch,
+                                                    sl4_level2, fault):
+        path = tmp_path / "cat.json"
+        path.write_bytes(b"old contents")
+        source = {"family": "A", "rank": 3, "level": 2}
+        if fault == "source":
+            source = {"family": "A", "rank": 3, "level": {2}}  # not JSON
+            error = TypeError
+        else:
+            table_payload = catfile._table_payload
+            monkeypatch.setattr(catfile, "_table_payload", lambda data, source: {
+                **table_payload(data, source),
+                "fusion": table_payload(data, source)["fusion"].astype(np.int32)})
+            error = ValueError
+        with pytest.raises(error):
+            catfile.save_category(path, sl4_level2, source)
+        assert path.read_bytes() == b"old contents"
 
 
 class TestValidation:

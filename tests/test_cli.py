@@ -78,14 +78,17 @@ class TestBuildAndLoad:
     def test_each_build_serialized_once(self, tmp_path, capsys, monkeypatch):
         plain = tmp_path / "plain.json"
         assert cli.main(["build", "A", "3", "2", "-o", str(plain)]) == 0
+        # _canonical_chunks is the one serializer, behind both save_category
+        # and dumps_canonical
         calls = []
-        dumps, load = catfile.dumps_canonical, catfile.load_category
-        monkeypatch.setattr(catfile, "dumps_canonical",
-                            lambda payload: calls.append("dumps") or dumps(payload))
+        serialize, load = catfile._canonical_chunks, catfile.load_category
+        monkeypatch.setattr(catfile, "_canonical_chunks",
+                            lambda payload: calls.append("serialize") or serialize(payload))
         monkeypatch.setattr(catfile, "load_category",
                             lambda path: calls.append("load") or load(path))
         cache = tmp_path / "cache"
-        for name, made in [("miss.json", ["dumps"]), ("hit.json", ["load", "dumps"])]:
+        for name, made in [("miss.json", ["serialize"]),
+                           ("hit.json", ["load", "serialize"])]:
             calls.clear()
             assert cli.main(["build", "A", "3", "2", "-o", str(tmp_path / name),
                              "--cache-dir", str(cache)]) == 0

@@ -44,11 +44,29 @@ def char_multiply_decompose(spec, lam, mu):
 # never from the spec's integer form (scale, scaled_gram, roots).
 
 
+def fraction_inverse(m):
+    """Gauss-Jordan inverse over the rationals, in Fractions: the oracle of
+    the integer row operations of lie._invert_exact."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 @lru_cache(maxsize=None)
 def fraction_gram(spec):
     """(Lambda_i, Lambda_j) = d_i (A^-1)_ij in Fractions, d from the per-type table."""
     d = _symmetrizer(spec.family, spec.rank)
-    ainv = lie._invert_exact([[Fraction(x) for x in row] for row in spec.cartan])
+    ainv = fraction_inverse(spec.cartan)
     return tuple(tuple(d[i] * x for x in row) for i, row in enumerate(ainv))
 
 
@@ -319,6 +337,52 @@ def test_integer_form_equals_the_fraction_form(family, rank):
         # (alpha, alpha) from (alpha_i, alpha_j) = d_i a_ij
         assert Fraction(norm, s) == sum(c[i] * c[j] * d[i] * spec.cartan[i][j]
                                         for i in range(rank) for j in range(rank))
+
+
+# row swaps, negative pivots, and rows that pick up a common factor
+INVERSE_MATRICES = [
+    [[0, 1], [1, 0]],
+    [[0, 2, 1], [3, 0, 0], [1, 1, 0]],
+    [[-3, 1, 4], [1, -5, 9], [2, 6, -5]],
+    [[2, 4, 6], [1, 3, 5], [0, 1, 7]],
+    [[5]],
+]
+
+
+def random_invertible(rng, n):
+    while True:
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        try:
+            return m, fraction_inverse(m)
+        except StopIteration:  # singular: no pivot in some column
+            pass
+
+
+@pytest.mark.parametrize("family,rank", TABLE_TYPES + [
+    ("A", 30), ("B", 30), ("C", 30), ("D", 30)])
+def test_integer_inverse_of_the_cartan_matrix_equals_the_fraction_inverse(family, rank):
+    cartan = lie._cartan_matrix(family, rank)
+    assert lie._invert_exact(cartan) == fraction_inverse(cartan)
+
+
+def test_integer_inverse_equals_the_fraction_inverse():
+    rng = random.Random(7)
+    cases = [(m, fraction_inverse(m)) for m in INVERSE_MATRICES]
+    cases += [random_invertible(rng, n) for n in (2, 3, 4, 6, 9) for _ in range(8)]
+    for m, inverse in cases:
+        got = lie._invert_exact(m)
+        assert got == inverse, m
+        n = len(m)
+        assert [[sum(m[i][k] * got[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_a100_gram_equals_the_closed_form():
+    # (Lambda_i, Lambda_j) = min(i, j) - i*j/(n+1) for sl_(n+1), 1-based
+    spec = lie.lie_algebra("A", 100)
+    assert spec.scale == 101
+    assert all(spec.scaled_gram[i][j] == 101 * min(i + 1, j + 1) - (i + 1) * (j + 1)
+               for i in range(100) for j in range(100))
 
 
 @pytest.mark.parametrize("family,rank", TABLE_TYPES)
