@@ -261,8 +261,11 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
 
 
 def save_category(path, data: ModularCategoryData, source) -> None:
-    """Write the canonical file of ``data``, streamed from its fusion table;
-    the file is opened only once the payload has passed its checks."""
+    """Write the canonical file of ``data``, streamed from its fusion table.
+    The file is opened only once the payload has passed its checks, so a
+    refused payload leaves an existing file untouched; a failure while the
+    chunks are written (MemoryError, KeyboardInterrupt, a full disk) can
+    leave a partial file."""
     chunks = _canonical_chunks(_table_payload(data, source))
     with open(path, "wb") as f:
         f.writelines(chunks)
