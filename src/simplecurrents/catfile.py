@@ -171,6 +171,15 @@ def _is_finite(x) -> bool:
     return (is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
+def _encodes(label: str) -> bool:
+    # false for a lone surrogate, which json.loads makes of an escape like "\ud800"
+    try:
+        label.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _entries(payload: dict, key: str, ok, what: str) -> list:
     """payload[key], a list whose entries all pass ``ok``; else CategoryFileError."""
     raw = payload[key]
@@ -221,6 +230,7 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
         source = payload["source"]
         _check_source(source)
         simples = _entries(payload, "simples", lambda x: isinstance(x, str), "a string")
+        _entries(payload, "simples", _encodes, "a string encodable as UTF-8")
         dual = _entries(payload, "dual", is_int, "an integer")
         quads = _int_entries(payload, "fusion", 4, "four integers [a, b, c, N]")
         twists_raw = _int_entries(payload, "twists", 2, "two integers [num, den]")

@@ -288,7 +288,7 @@ def alcove_size(spec: LieAlgebraSpec, k: int) -> int:
 
 
 def alcove_weights(spec: LieAlgebraSpec, k: int) -> list[Weight]:
-    """All dominant weights of level <= k, sorted lexicographically by labels."""
+    """All dominant weights of level <= k, in the recursion's lexicographic order."""
     if k < 0:
         raise ValueError(f"level must be non-negative, got {k}")
     out: list[Weight] = []
@@ -302,7 +302,6 @@ def alcove_weights(spec: LieAlgebraSpec, k: int) -> list[Weight]:
             rec(prefix + [x], budget - x * spec.comark[i])
 
     rec([], k)
-    out.sort()
     return out
 
 

@@ -24,6 +24,8 @@ from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
+import numpy as np
+
 from . import fusion, groups, lie
 from .angles import RationalAngle
 from .fusion import FusionRing
@@ -39,12 +41,6 @@ QDIM_TOL = 1e-9  # tolerance for the +-1 decisions consuming quantum dimensions
 #: weights is about 2 GB, under a third of a 7 GB machine, as for
 #: fusion.MAX_SIMPLES.  It also keeps each sum of the fold below 2^53.
 MAX_DIAGRAM_WEIGHTS = 2 ** 23
-
-#: Largest level whose alcove a build counts exactly (lie.alcove_size takes
-#: about rank * level steps).  Above it a build is refused at once with a
-#: lower bound, level // min(comark) + 1 weights on the node of least comark:
-#: every type has a node of comark at most 2, so the bound exceeds 2^15.
-MAX_COUNTED_LEVEL = 2 ** 16
 
 
 class InconsistentDataError(RuntimeError):
@@ -174,12 +170,15 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     computed once, for the size bound, and orders the fold.  An alcove of more
     than fusion.MAX_SIMPLES weights is refused with fusion.TooLargeError
     before any weight is listed, and one whose weight diagrams would hold
-    more than MAX_DIAGRAM_WEIGHTS weights in all before the fold.
+    more than MAX_DIAGRAM_WEIGHTS weights in all before the fold.  Past level
+    2 * fusion.MAX_SIMPLES the refusal is at once, naming the lower bound
+    k // min(comark) + 1, the weights on a node of least comark: every type
+    has a node of comark at most 2, so the bound already passes the limit.
     """
     if k < 1:
         raise ValueError(f"level must be >= 1, got {k}")
     name = f"{spec} at level {k}"
-    if k > MAX_COUNTED_LEVEL:
+    if k > 2 * fusion.MAX_SIMPLES:
         raise fusion.TooLargeError(
             f"{name} has at least {k // min(spec.comark) + 1} simple objects, "
             f"more than the limit of {fusion.MAX_SIMPLES}")
@@ -226,23 +225,22 @@ def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight], dims: list[
     Each k Lambda_j of comark 1 not yet in G has its diagram folded against
     every weight (_fold_rows), and its permutation joins G when each product is
     one simple of multiplicity 1 and each simple is one product (E8, F4 and G2
-    have no such node, and G stays trivial).  Then the b are taken in order of
-    (dims[b], b).  b's diagram is made once and folded against each a whose
-    T[a, b] is still unfilled and that is the least of its orbit, and each row
-    fills its orbit under G x G and the swap: N_{Ja,Kb}^{JKc} = N_{ab}^c
-    (J. Fuchs, Simple WZW currents, Commun. Math. Phys. 136, 1991).  That
-    fills the columns of b's whole orbit, so each orbit is folded once, by its
-    member of least dimension, against the orbits that come after it: the
-    smaller diagram of each pair, up to the orbit.
+    have no such node, and G stays trivial).  Then each b not yet done is
+    taken in order of (dims[b], b): its diagram is made once and folded against
+    every a not yet done, and each row fills the columns of b's orbit by the
+    column action and the swap, T[a, Kb, Kc] = T[Kb, a, Kc] = N_{ab}^c for each
+    K in G (J. Fuchs, Simple WZW currents, Commun. Math. Phys. 136, 1991).  A
+    candidate is done once its row is folded, and every member of b's orbit
+    once b is.  So each orbit is folded once, by its first member in that
+    order, against every orbit that comes after it: the smaller diagram of
+    each pair, up to the orbit.
     validate checks the table.
     """
-    import numpy as np
-
     n = len(weights)
     index = _alcove_index(spec, k)
     unit = weights.index((0,) * spec.rank)
     table = np.zeros((n, n, n), dtype=np.int64)
-    filled = np.zeros((n, n), dtype=bool)
+    done = np.zeros(n, dtype=bool)
     generators = [tuple(range(n))]
     group = generators
     for j in range(spec.rank):
@@ -253,23 +251,19 @@ def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight], dims: list[
             continue
         row = _fold_rows(spec, k, weights, index, g, range(n))  # [x, c] = N^c_{x g}
         table[g] = table[:, g] = row
-        filled[g] = filled[:, g] = True
+        done[g] = True
         if (row.sum(axis=0) == 1).all() and (row.sum(axis=1) == 1).all():
             generators.append(tuple(row.argmax(axis=1).tolist()))
             group = groups.close_under_composition(generators)
     perms = np.array(group)
-    least = perms.min(axis=0) == np.arange(n)  # a is the least of its orbit
     for b in sorted(range(n), key=lambda x: (dims[x], x)):
-        rows = np.flatnonzero(~filled[:, b] & least)
-        if not rows.size:
+        if done[b]:
             continue
+        rows = np.flatnonzero(~done)
         prod = _fold_rows(spec, k, weights, index, b, rows.tolist())
-        ja = perms[:, rows]  # [J, a] = J(a)
         for K in perms:
-            jk = perms[:, K]  # [J, c] = J(K(c))
-            table[ja[:, :, None], K[b], jk[:, None, :]] = prod
-            table[K[b], ja[:, :, None], jk[:, None, :]] = prod
-            filled[ja, K[b]] = filled[K[b], ja] = True
+            table[rows[:, None], K[b], K] = table[K[b], rows[:, None], K] = prod
+        done[perms[:, b]] = True
     return table, group
 
 
@@ -283,8 +277,6 @@ def _fold_rows(spec: LieAlgebraSpec, k: int, weights: list[Weight], index, b: in
     sum.  The rows are folded in chunks of at most fusion.FOLD_CHUNK_BYTES of
     points; index maps labels to alcove positions (_alcove_index).
     """
-    import numpy as np
-
     n, r = len(weights), spec.rank
     comark = np.array(spec.comark, dtype=np.int64)
     columns = np.array(spec.extended, dtype=np.int64)
@@ -329,8 +321,6 @@ def _alcove_index(spec: LieAlgebraSpec, k: int):
     lambda_i = x with level b left, from tail[b], the count of the labels after
     i of level at most b (as in lie.alcove_size).
     """
-    import numpy as np
-
     levels = np.arange(k + 1)
     tail = np.ones(k + 1, dtype=np.int64)
     skip = []

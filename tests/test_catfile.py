@@ -187,6 +187,8 @@ MALFORMED = [pytest.param(payload, message, id=name) for name, payload, message 
      "twists[1] must be two integers [num, den], got [1, 4, 0]"),
     ("float-dual", edited("dual", 1, 1.0), "dual[1] must be an integer, got 1.0"),
     ("int-simple", edited("simples", 0, 0), "simples[0] must be a string, got 0"),
+    ("surrogate-simple", edited("simples", 1, "s\ud800"),
+     "simples[1] must be a string encodable as UTF-8, got 's\\ud800'"),
     ("string-simples", edited("simples", None, "0s"), "simples must be a list, got '0s'"),
     ("list-payload", [semion_payload()], "category payload must be a JSON object, got list"),
 ]]
