@@ -86,8 +86,13 @@ def angle(num: int, den: int = 1) -> RationalAngle:
     return RationalAngle(num, den)
 
 
-def primitive_angles(m: int) -> list[RationalAngle]:
-    """All primitive m-th roots of unity, ascending by numerator."""
+def primitive_numerators(m: int) -> list[int]:
+    """The numerators c in [0, m) of the primitive m-th roots of unity c/m, ascending."""
     if m < 1:
         raise ValueError(f"order must be a positive integer, got {m}")
-    return [RationalAngle(c, m) for c in range(m) if gcd(c, m) == 1]
+    return [c for c in range(m) if gcd(c, m) == 1]
+
+
+def primitive_angles(m: int) -> list[RationalAngle]:
+    """All primitive m-th roots of unity, ascending by numerator."""
+    return [RationalAngle(c, m) for c in primitive_numerators(m)]

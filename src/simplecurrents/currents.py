@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import fusion, groups, modular
-from .angles import RationalAngle, ZERO_ANGLE, primitive_angles
+from .angles import RationalAngle, ZERO_ANGLE, primitive_numerators
 from .groups import GroupReport, Perm
 from .modular import InconsistentDataError, InvertibleProfile, ModularCategoryData
 
@@ -85,8 +85,14 @@ def require_coprimality(p: InvertibleProfile) -> None:
 
 
 def admissible_zetas(p: InvertibleProfile) -> list[RationalAngle]:
-    """All primitive M-th roots zeta with zeta^A = q^2, ascending by numerator."""
-    out = [z for z in primitive_angles(p.M) if z * p.A == p.q_squared]
+    """All primitive M-th roots zeta with zeta^A = q^2, ascending by numerator.
+
+    With zeta = c/M and q^2 = num/den, zeta^A = q^2 exactly when
+    c A den = num M mod M den, tested in integers.
+    """
+    num, den = p.q_squared.pair
+    out = [RationalAngle(c, p.M) for c in primitive_numerators(p.M)
+           if (c * p.A * den - num * p.M) % (p.M * den) == 0]
     if exists_autoequivalence(p) and not out:
         raise InconsistentDataError(
             f"no admissible zeta for {p.label} (M={p.M}, q={p.q}) "
@@ -160,10 +166,15 @@ def construct_autoeq(data: ModularCategoryData, g: int,
         raise InadmissibleZetaError(zeta, p.label, admissible_zetas(p))
     grades = modular.grading(p, zeta)
     pi = data.ring.invertible_permutations[g]
-    powers = [groups.identity_perm(data.size)]
-    for _ in range(1, p.M):
-        powers.append(groups.compose_perms(pi, powers[-1]))
-    perm = tuple(powers[grades[x]][x] for x in range(data.size))
+    moved = [-1] * data.size  # g^grade(X) (x) X, read along the cycle of pi through X
+    for start in range(data.size):
+        if moved[start] < 0:
+            cycle = [start]
+            while pi[cycle[-1]] != start:
+                cycle.append(pi[cycle[-1]])
+            for i, x in enumerate(cycle):
+                moved[x] = cycle[(i + grades[x]) % len(cycle)]
+    perm = tuple(moved)
     if perm[data.ring.unit_index] != data.ring.unit_index:
         raise InconsistentDataError(
             f"auto-equivalence for {data.ring.simples[g]} moves the unit")
@@ -195,9 +206,11 @@ def commute_test(data: ModularCategoryData, g: int, h: int) -> bool:
 
     True when g and h braid symmetrically, i.e. the charge of h under g is 0.
     """
-    charges = profile(data, g).charges
-    profile(data, h)  # h must be invertible too
-    return charges[h] == 0
+    profiles = data.profiles
+    if g not in profiles or h not in profiles:  # NotInvertibleError, naming the first
+        profile(data, g)
+        profile(data, h)
+    return profiles[g].charges[h] == 0
 
 
 def compose(a: CurrentAutoEq, b: CurrentAutoEq) -> Perm:

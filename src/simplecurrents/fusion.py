@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -66,7 +67,8 @@ def is_int(x) -> bool:
 
 
 def _check_entry(a, b, c, m, n: int) -> None:
-    """ValueError naming (a, b, c) unless a, b, c are in range(n) and m is an integer."""
+    """ValueError naming (a, b, c) unless a, b, c are in range(n) and m is an
+    integer within int64."""
     if not all(map(is_int, (a, b, c))):
         raise ValueError(f"fusion key (a, b, c) = ({a!r}, {b!r}, {c!r}) must be integers")
     if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
@@ -74,22 +76,46 @@ def _check_entry(a, b, c, m, n: int) -> None:
     if not is_int(m):
         raise ValueError(f"fusion multiplicity at (a, b, c) = ({a}, {b}, {c}) "
                          f"must be an integer, got {m!r}")
+    if not -2 ** 63 <= m < 2 ** 63:
+        raise ValueError(f"fusion multiplicity at (a, b, c) = ({a}, {b}, {c}) "
+                         f"must fit in int64, got {m}")
+
+
+def _dict_quads(tensor, n: int) -> np.ndarray:
+    """The entries of {(a, b): {c: N}} as an (m, 4) int64 array of rows
+    [a, b, c, N], in the dict's order.  One bulk test of the types; only when
+    it fails, or a value is past int64, are the entries scanned one by one,
+    and the first that is not an int64 integer with its key in [0, n) named."""
+    entries = [(a, b, c, m) for (a, b), fiber in tensor.items() for c, m in fiber.items()]
+    try:
+        if set(map(type, chain.from_iterable(entries))) <= {int}:
+            return np.fromiter(chain.from_iterable(entries), np.int64,
+                               4 * len(entries)).reshape(-1, 4)
+    except OverflowError:
+        pass
+    for entry in entries:
+        _check_entry(*entry, n)
+    return np.array(entries, dtype=np.int64).reshape(-1, 4)  # numpy integers
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class FusionRing:
     """A frozen fusion ring over an ordered set of simple objects.
 
-    Built from ``tensor``, either a sparse dict {(a, b): {c: N^c_{ab}}} or an
-    int64 array T[a, b, c] = N^c_{ab} of shape (n, n, n), and kept only as the
-    read-only int64 ``table``, a copy no caller holds, so every query is
-    read-only and thread-safe.  Rings are equal when labels, unit, dual and
-    table are.  More than MAX_SIMPLES simples raise TooLargeError.  This is the
-    one check of each fusion entry: a key outside the integers [0, n) or a
-    multiplicity outside the int64 integers, a bool included, raises ValueError
-    naming (a, b, c), and an array of another shape or dtype (bool and float
-    included) raises ValueError naming both.  Negative multiplicities are kept,
-    for axiom_violation to report.
+    Built from ``tensor`` in one of three forms: a sparse dict
+    {(a, b): {c: N^c_{ab}}}, an (m, 4) int64 array of rows [a, b, c, N^c_{ab}]
+    with no (a, b, c) twice (a file's quads), or an int64 array T[a, b, c] =
+    N^c_{ab} of shape (n, n, n).  It is kept only as the read-only int64
+    ``table``, which no caller holds (a table is copied, the other forms are
+    written into a new one), so every query is read-only and thread-safe.
+    Rings are equal when labels, unit, dual and table are.  More than
+    MAX_SIMPLES simples raise TooLargeError.  This is the one check of each
+    fusion entry: a dict's keys and multiplicities must be integers within
+    int64, a bool excluded, and every key of a dict or of the rows must lie in
+    [0, n); each refusal is a ValueError naming the first (a, b, c) in the
+    order given.  Any other array (bool and float included) raises ValueError
+    naming its dtype and shape.  Negative multiplicities are kept, for
+    axiom_violation to report.
     """
 
     simples: tuple[str, ...]
@@ -100,23 +126,21 @@ class FusionRing:
     def __init__(self, simples, unit_index: int, dual, tensor):
         n = len(simples)
         check_size(n, "fusion ring")
-        if isinstance(tensor, np.ndarray):
-            if tensor.shape != (n,) * 3 or tensor.dtype != np.int64:
-                raise ValueError(f"fusion table must be an int64 array of shape "
-                                 f"{(n,) * 3}, got {tensor.dtype} of shape {tensor.shape}")
+        if not isinstance(tensor, np.ndarray):
+            tensor = _dict_quads(tensor, n)
+        elif tensor.dtype != np.int64 or tensor.shape != (n,) * 3 and tensor.shape[1:] != (4,):
+            raise ValueError(f"fusion table must be an int64 array of shape "
+                             f"{(n,) * 3}, got {tensor.dtype} of shape {tensor.shape}")
+        if tensor.ndim == 3:
             table = tensor.copy()
         else:
+            keys = tensor[:, :3]
+            outside = ((keys < 0) | (keys >= n)).any(axis=1)
+            if outside.any():
+                a, b, c = keys[outside.argmax()].tolist()
+                raise ValueError(f"fusion key (a, b, c) = ({a}, {b}, {c}) is outside [0, {n})")
             table = np.zeros((n,) * 3, dtype=np.int64)
-            for (a, b), fiber in tensor.items():
-                ab = type(a) is type(b) is int and 0 <= a < n and 0 <= b < n
-                for c, m in fiber.items():
-                    if not (ab and type(c) is type(m) is int and 0 <= c < n):
-                        _check_entry(a, b, c, m, n)  # numpy ints pass, the rest raise
-                    try:
-                        table[a, b, c] = m
-                    except OverflowError:
-                        raise ValueError(f"fusion multiplicity at (a, b, c) = ({a}, {b}, "
-                                         f"{c}) must fit in int64, got {m}") from None
+            table[tuple(keys.T)] = tensor[:, 3]
         table.setflags(write=False)
         object.__setattr__(self, "simples", tuple(simples))
         object.__setattr__(self, "unit_index", unit_index)
@@ -149,18 +173,19 @@ class FusionRing:
         in index order (cached, read-only).
 
         g is invertible when the products g (x) X hold n simples in all and
-        g (x) g* contains the unit once.
+        g (x) g* contains the unit once; its permutation then needs each
+        g (x) X to be a single simple, else ValueError names the first such g.
+        One array pass for every g at once.
         """
         n = self.size
         t = self.table
-        out = {}
-        for g in range(n):
-            if t[g].sum() == n and t[g, self.dual[g], self.unit_index] == 1:
-                rows, cols = np.nonzero(t[g])
-                if not np.array_equal(rows, np.arange(n)):
-                    raise ValueError(f"fusion by {self.simples[g]} is not a permutation")
-                out[g] = tuple(cols.tolist())
-        return MappingProxyType(out)
+        g = np.flatnonzero(t.sum(axis=(1, 2)) == n)
+        g = g[t[g, np.take(self.dual, g), self.unit_index] == 1]
+        nonzero = t[g] != 0
+        bad = (nonzero.sum(axis=2) != 1).any(axis=1)
+        if bad.any():
+            raise ValueError(f"fusion by {self.simples[g[bad.argmax()]]} is not a permutation")
+        return MappingProxyType(dict(zip(g.tolist(), map(tuple, nonzero.argmax(axis=2).tolist()))))
 
     def index(self, label: str) -> int:
         try:

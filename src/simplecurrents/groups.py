@@ -42,7 +42,8 @@ def perm_order(p: Perm) -> int:
 
 def close_under_composition(perms: list[Perm], cap: int = 1024) -> list[Perm]:
     """Group generated by the given permutations, as a sorted element list
-    (breadth-first from the identity, multiplying by generators on the left).
+    (breadth-first from the identity, multiplying by generators on the left;
+    a generator already in the group of the earlier ones is skipped).
     ValueError, naming the cap, unless cap >= 1; ClosureCapExceededError once
     the closure holds more than cap elements."""
     if cap < 1:
@@ -54,24 +55,72 @@ def close_under_composition(perms: list[Perm], cap: int = 1024) -> list[Perm]:
         raise ValueError("generators act on different sets")
     queue = [identity_perm(n)]
     elements = set(queue)
-    for p in queue:
-        if len(elements) > cap:
-            raise ClosureCapExceededError(f"closure exceeded cap of {cap} elements")
-        for s in perms:
-            r = compose_perms(s, p)
-            if r not in elements:
-                elements.add(r)
-                queue.append(r)
+    gens: list[Perm] = []
+
+    def visit(s, p):
+        r = compose_perms(s, p)
+        if r not in elements:
+            elements.add(r)
+            queue.append(r)
+
+    for s in perms:
+        if s in elements:
+            continue
+        gens.append(s)
+        i = len(queue)
+        for p in queue[:i]:  # closed under the earlier generators: s only
+            visit(s, p)
+        while i < len(queue):  # each new element, times every generator
+            if len(elements) > cap:
+                raise ClosureCapExceededError(f"closure exceeded cap of {cap} elements")
+            for t in gens:
+                visit(t, queue[i])
+            i += 1
     return sorted(elements)
 
 
 def multiplication_table(elements: list[Perm]) -> tuple[tuple[int, ...], ...]:
     """table[i][j] = index of elements[i] . elements[j]; KeyError unless the
-    list is closed.  Row i is p[e], p = elements[i] after every element at
-    once, one g x n int64 array, each product looked up whole by its bytes."""
+    list is closed.
+
+    Each element not yet reached from the identity becomes a generator s, in
+    index order, with act_s[j] = index of s . elements[j], each product looked
+    up whole by its bytes.  A breadth-first walk from the identity derives
+    each row from its parent's, row(s . p) = act_s[row(p)], so the table costs
+    len(elements) compositions per generator.  Every element is then a
+    product of generators, so the list is closed once every act_s is found.
+    """
+    if not elements:
+        return ()
     e = np.array(elements, dtype=np.int64)
+    k = len(e)
     index = {row.tobytes(): i for i, row in enumerate(e)}
-    return tuple(tuple([index[row.tobytes()] for row in p[e]]) for p in e)
+    one = index[np.arange(e.shape[1], dtype=np.int64).tobytes()]
+    table = np.empty((k, k), dtype=np.int64)
+    table[one] = np.arange(k)
+    reached = np.zeros(k, dtype=bool)
+    reached[one] = True
+    queue, acts = [one], []
+
+    def visit(act, p):
+        r = act[p]
+        if not reached[r]:
+            reached[r] = True
+            table[r] = act[table[p]]
+            queue.append(r)
+
+    for s in range(k):
+        if reached[s]:
+            continue
+        acts.append(np.array([index[row.tobytes()] for row in e[s][e]]))
+        i = len(queue)
+        for p in queue[:i]:  # closed under the earlier generators: s only
+            visit(acts[-1], p)
+        while i < len(queue):  # each new element, times every generator
+            for act in acts:
+                visit(act, queue[i])
+            i += 1
+    return tuple(map(tuple, table.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import example, given, strategies as st
 from simplecurrents import catfile, cli, currents, fusion, groups, lie, modular
 from simplecurrents.angles import ZERO_ANGLE, angle
 from simplecurrents.catfile import CategoryFileError
+from simplecurrents.fusion import FusionRing
 
 
 def ising_payload():
@@ -207,6 +209,10 @@ OWNED = [pytest.param(payload, message, id=name) for name, payload, message in [
     ("repeated-quad", edited("fusion", None, semion_payload()["fusion"] + [[1, 1, 0, 1]]),
      "duplicate fusion entry for (1,1,0)"),
     ("zero-multiplicity", edited("fusion", 3, [1, 1, 0, 0]), "zero fusion entry for (1,1,0)"),
+    ("a-past-int64", edited("fusion", 3, [2 ** 70, 1, 0, 1]),
+     f"fusion key (a, b, c) = ({2 ** 70}, 1, 0) is outside [0, 2)"),
+    ("c-past-int64", edited("fusion", 3, [1, 1, -2 ** 63 - 1, 1]),
+     f"fusion key (a, b, c) = (1, 1, {-2 ** 63 - 1}) is outside [0, 2)"),
     ("negative-multiplicity", edited("fusion", 3, [1, 1, 0, -1]),
      "fusion axioms fail: negative multiplicity N^0_{1,1}"),
     ("multiplicity-2^63", edited("fusion", 3, [1, 1, 0, 2 ** 63]),
@@ -251,6 +257,20 @@ def test_built_file_matches_golden_hash(tmp_path, family, rank, level):
     path = tmp_path / "cat.json"
     catfile.save_category(path, data, source)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[family, rank, level]
+
+
+@pytest.mark.parametrize("family,rank,level", sorted(GOLDEN_SHA256))
+def test_ring_of_the_quads_equals_the_ring_of_a_dict(family, rank, level):
+    data = modular.build_wzw_data(lie.lie_algebra(family, rank), level)
+    payload = catfile.category_to_payload(data, catfile.wzw_source(family, rank, level))
+    tensor = {}
+    for a, b, c, m in payload["fusion"]:
+        tensor.setdefault((a, b), {})[c] = m
+    ring = data.ring
+    quads = np.array(payload["fusion"], dtype=np.int64)
+    assert FusionRing(ring.simples, 0, ring.dual, quads) == ring
+    assert FusionRing(ring.simples, 0, ring.dual, tensor) == ring
+    assert catfile.payload_to_category(payload)[0].ring == ring
 
 
 def test_built_ring_unchanged_by_editing_its_tensor(tmp_path):
@@ -558,6 +578,43 @@ class TestValidation:
         assert str(exc.value) == message
         assert cli.main(["load-check", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_keys_compared_whole(self, tmp_path):
+        # a n^2 + b n + c is 2 for both (0, 0, 2) and (0, 1, 0), which are not
+        # a repeat: the key outside [0, 2) is named
+        payload = semion_payload()
+        payload["fusion"] += [[0, 0, 2, 1], [0, 1, 0, 1]]
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(self.write(tmp_path, payload))
+        assert str(exc.value) == "fusion key (a, b, c) = (0, 0, 2) is outside [0, 2)"
+
+    @pytest.mark.parametrize("extra,message", [
+        ([[1, 1, 0, 1], [0, 1, 0, 0]], "duplicate fusion entry for (1,1,0)"),
+        ([[0, 1, 0, 0], [1, 1, 0, 1]], "zero fusion entry for (0,1,0)"),
+        ([[1, 1, 0, 0]], "zero fusion entry for (1,1,0)"),  # both: the zero is named
+        # the file's own checks come before any of the ring's, in or past int64
+        ([[5, 0, 0, 1], [1, 1, 0, 1]], "duplicate fusion entry for (1,1,0)"),
+        ([[2 ** 70, 1, 0, 1], [1, 1, 0, 1]], "duplicate fusion entry for (1,1,0)"),
+        ([[0, 1, 0, 2 ** 70], [1, 0, 0, 0]], "zero fusion entry for (1,0,0)"),
+    ])
+    def test_first_fault_in_file_order_named(self, tmp_path, extra, message):
+        payload = semion_payload()
+        payload["fusion"] += extra
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(self.write(tmp_path, payload))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quads_in_any_order(self, tmp_path, seed):
+        ring = catfile.payload_to_category(ising_payload())[0].ring
+        payload = ising_payload()
+        random.Random(seed).shuffle(payload["fusion"])
+        assert catfile.load_category(self.write(tmp_path, payload))[0].ring == ring
+        a, b, c, _ = payload["fusion"][5]
+        payload["fusion"].insert(0, [a, b, c, 1])
+        with pytest.raises(CategoryFileError) as exc:
+            catfile.load_category(self.write(tmp_path, payload))
+        assert str(exc.value) == f"duplicate fusion entry for ({a},{b},{c})"
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "cat.json"

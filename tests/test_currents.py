@@ -1,9 +1,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from simplecurrents import catfile, currents, fusion, groups, lie, modular
-from simplecurrents.angles import ZERO_ANGLE, angle
+from simplecurrents.angles import ZERO_ANGLE, angle, primitive_angles
 from simplecurrents.currents import (CoprimalityError, InadmissibleZetaError,
                                      all_autoequivalences, construct_autoeq)
 from simplecurrents.modular import InconsistentDataError, InvertibleProfile
@@ -120,6 +121,18 @@ class TestGates:
                               charges=())
         assert currents.admissible_zetas(p) == [angle(2, 3)]
 
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 60), st.integers(1, 60))
+    def test_admissible_zetas_equal_the_angle_powers(self, m, a, num, den):
+        # q^2 = num/den need not have a denominator dividing M
+        p = InvertibleProfile(g=0, label="g", M=m, q=ZERO_ANGLE, q_squared=angle(num, den),
+                              A=a, charges=())
+        expected = [z for z in primitive_angles(m) if z * a == p.q_squared]
+        if currents.exists_autoequivalence(p) and not expected:
+            with pytest.raises(InconsistentDataError, match="^no admissible zeta for g "):
+                currents.admissible_zetas(p)
+        else:
+            assert currents.admissible_zetas(p) == expected
+
     def test_admissible_zetas_unit(self, sl4_level2):
         p = currents.profile(sl4_level2, sl4_level2.ring.unit_index)
         assert currents.admissible_zetas(p) == [ZERO_ANGLE]
@@ -226,6 +239,20 @@ class TestGates:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("name", sorted(CHARGE_CATEGORIES))
+    def test_permutations_equal_the_power_table(self, name):
+        # X -> g^grade(X) (x) X from the list of the M powers of g's permutation
+        data = CHARGE_CATEGORIES[name]()
+        aes = all_autoequivalences(data)
+        assert aes
+        for ae in aes:
+            pi = fusion.fuse_permutation(data.ring, ae.g)
+            powers = [groups.identity_perm(data.size)]
+            for _ in range(1, ae.M):
+                powers.append(groups.compose_perms(pi, powers[-1]))
+            grades = modular.grading(data.profiles[ae.g], ae.zeta)
+            assert ae.permutation == tuple(powers[grades[x]][x] for x in range(data.size))
+
     def test_sl4_zeta_minus_i(self, sl4_level2):
         ae = construct_autoeq(sl4_level2, sl4_level2.ring.index("2L1"), angle(3, 4))
         assert pairs(sl4_level2, ae.permutation) == {
@@ -346,6 +373,14 @@ class TestComposition:
                                      sl4_level2.ring.unit_index)
         assert not currents.commute_test(sl4_level2, sl4_level2.ring.index("2L1"),
                                          sl4_level2.ring.index("2L1"))
+
+    def test_commute_names_the_first_object_not_invertible(self, sl4_level2):
+        ring = sl4_level2.ring
+        g, x, y = ring.index("2L1"), ring.index("L1"), ring.index("L2")
+        for pair, label in [((g, x), "L1"), ((x, g), "L1"), ((y, x), "L2"), ((x, y), "L1")]:
+            with pytest.raises(fusion.NotInvertibleError) as exc:
+                currents.commute_test(sl4_level2, *pair)
+            assert str(exc.value) == f"object {label} is not invertible"
 
     def test_compose_involution(self, sl4_level2):
         g = sl4_level2.ring.index("2L1")

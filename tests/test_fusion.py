@@ -572,6 +572,134 @@ class TestTableInput:
             FusionRing(labels, 0, range(len(labels)), np.zeros((1, 1, 1), dtype=np.int64))
 
 
+@st.composite
+def keyed_entries(draw):
+    """n and distinct keys (a, b, c) in [0, n), each with an int64 multiplicity,
+    zero and negative ones included, in a random order."""
+    n = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), unique=True, max_size=40))
+    values = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                           min_size=len(keys), max_size=len(keys)))
+    return n, [(*key, m) for key, m in zip(keys, values)]
+
+
+class TestQuadInput:
+    @given(keyed_entries())
+    def test_quads_give_the_ring_of_the_dict(self, case):
+        n, entries = case
+        simples, dual = tuple(map(str, range(n))), tuple(range(n))
+        tensor = {}
+        for a, b, c, m in entries:
+            tensor.setdefault((a, b), {})[c] = m
+        quads = np.array(entries, dtype=np.int64).reshape(-1, 4)
+        ring = FusionRing(simples, 0, dual, quads)
+        assert ring == FusionRing(simples, 0, dual, tensor)
+        assert {tuple(k): int(ring.table[tuple(k)]) for k in np.argwhere(ring.table).tolist()} \
+            == {(a, b, c): m for a, b, c, m in entries if m}
+
+    def test_table_is_written_anew(self, sl4_level2):
+        ring = sl4_level2.ring
+        quads = np.array([(a, b, c, m) for (a, b), fiber in ring.tensor.items()
+                          for c, m in fiber.items()], dtype=np.int64)
+        built = FusionRing(ring.simples, ring.unit_index, ring.dual, quads)
+        quads[:, 3] += 1
+        assert built == ring and not np.shares_memory(built.table, quads)
+        with pytest.raises(ValueError):
+            built.table[0, 0, 0] = 2
+
+    @pytest.mark.parametrize("bad,key", [
+        ([[0, 0, 0, 1], [2, 1, 0, 1], [1, -1, 0, 1]], "(2, 1, 0)"),
+        ([[0, 0, 0, 1], [1, -1, 0, 1], [2, 1, 0, 1]], "(1, -1, 0)"),
+        ([[1, 1, 2 ** 62, 1]], f"(1, 1, {2 ** 62})"),
+        ([[-2 ** 63, 0, 0, 1]], f"({-2 ** 63}, 0, 0)"),
+    ])
+    def test_first_key_outside_in_row_order_named(self, bad, key):
+        with pytest.raises(ValueError) as exc:
+            FusionRing(("0", "x"), 0, (0, 1), np.array(bad, dtype=np.int64))
+        assert str(exc.value) == f"fusion key (a, b, c) = {key} is outside [0, 2)"
+
+    @pytest.mark.parametrize("quads,got", [
+        (np.zeros((3, 4), dtype=np.float64), "float64 of shape (3, 4)"),
+        (np.zeros((3, 4), dtype=np.int32), "int32 of shape (3, 4)"),
+        (np.zeros((3, 5), dtype=np.int64), "int64 of shape (3, 5)"),
+        (np.zeros((3, 4, 1), dtype=np.int64), "int64 of shape (3, 4, 1)"),
+        (np.zeros(4, dtype=np.int64), "int64 of shape (4,)")])
+    def test_other_shapes_and_dtypes_refused(self, quads, got):
+        with pytest.raises(ValueError) as exc:
+            FusionRing(("0", "g"), 0, (0, 1), quads)
+        assert str(exc.value) == (
+            f"fusion table must be an int64 array of shape (2, 2, 2), got {got}")
+
+    def test_dict_faults_named_in_the_dict_order(self):
+        # a key outside before a bool multiplicity, and the other way round
+        outside_first = {(0, 0): {0: 1}, (1, 2): {0: 1}, (1, 1): {0: True}}
+        with pytest.raises(ValueError, match=r"^fusion key \(a, b, c\) = \(1, 2, 0\) is outside"):
+            FusionRing(("0", "x"), 0, (0, 1), outside_first)
+        bool_first = {(0, 0): {0: 1}, (1, 1): {0: True}, (1, 2): {0: 1}}
+        with pytest.raises(ValueError, match=r"^fusion multiplicity at .* must be an integer"):
+            FusionRing(("0", "x"), 0, (0, 1), bool_first)
+        past_int64 = {(0, 0): {0: 2 ** 64}, (1, 2 ** 64): {0: 1}}
+        with pytest.raises(ValueError, match=r"^fusion multiplicity at .* must fit in int64"):
+            FusionRing(("0", "x"), 0, (0, 1), past_int64)
+
+
+def permutations_by_loop(ring):
+    """invertible_permutations as it was, one g at a time: the oracle."""
+    n, t, out = ring.size, ring.table, {}
+    for g in range(n):
+        if t[g].sum() == n and t[g, ring.dual[g], ring.unit_index] == 1:
+            rows, cols = np.nonzero(t[g])
+            if not np.array_equal(rows, np.arange(n)):
+                raise ValueError(f"fusion by {ring.simples[g]} is not a permutation")
+            out[g] = tuple(cols.tolist())
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestInvertiblePermutations:
+    def test_equal_the_loop_on_built_rings(self, example_categories):
+        for data in example_categories.values():
+            assert dict(data.ring.invertible_permutations) == permutations_by_loop(data.ring)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, -1]),
+                             min_size=n ** 3, max_size=n ** 3),
+        st.permutations(range(n)))))
+    def test_equal_the_loop_on_drawn_tables(self, case):
+        n, values, dual = case
+        table = np.array(values, dtype=np.int64).reshape(n, n, n)
+        table[0] = np.eye(n, dtype=np.int64)  # an invertible unit, as often as not
+        ring = FusionRing(tuple(map(str, range(n))), 0, dual, table)
+        assert (outcome(lambda: dict(ring.invertible_permutations))
+                == outcome(permutations_by_loop, ring))
+
+    def test_fusion_that_is_no_permutation_names_the_first_object(self):
+        # g and x each fuse to n = 3 simples and contain the unit once with
+        # their duals, but g (x) g = 0 + x and g (x) x = 0
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                  (1, 0): {1: 1}, (1, 1): {0: 1, 2: 1},
+                  (2, 0): {2: 1}, (2, 2): {0: 1, 1: 1}}
+        ring = FusionRing(("0", "g", "x"), 0, (0, 1, 2), tensor)
+        with pytest.raises(ValueError) as exc:
+            ring.invertible_permutations
+        assert str(exc.value) == "fusion by g is not a permutation"
+        del tensor[1, 1][2]
+        tensor[1, 2] = {2: 1}  # now g (x) X is one simple for every X
+        for x_times_x, x_times_unit in [({0: 1, 1: 1}, {2: 1}), ({0: 1}, {2: 2})]:
+            # x (x) g = 0 and x (x) x is two simples, or x (x) 0 = 2x
+            tensor[2, 2], tensor[2, 0] = x_times_x, x_times_unit
+            ring = FusionRing(("0", "g", "x"), 0, (0, 1, 2), tensor)
+            with pytest.raises(ValueError) as exc:
+                ring.invertible_permutations
+            assert str(exc.value) == "fusion by x is not a permutation"
+
+
 class TestReadOnly:
     def test_table_is_read_only(self, sl4_level2):
         with pytest.raises(ValueError):

@@ -132,6 +132,25 @@ class TestClosureAgainstReference:
                 reference_closure(gens, cap=cap)
         assert close_under_composition(gens, cap=size) == reference_closure(gens, cap=size)
 
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3)),
+        st.data())
+    def test_redundant_generators(self, gens, data):
+        # duplicates, the identity and powers of the generators, listed first
+        powers = [compose_perms(p, q) for p in gens for q in gens] + gens
+        extra = data.draw(st.lists(st.sampled_from(powers), max_size=4))
+        listed = extra + [identity_perm(len(gens[0]))] + gens + gens[:1]
+        try:
+            expected = reference_closure(gens, cap=120)
+        except ClosureCapExceededError:
+            assume(False)
+        assert close_under_composition(listed) == expected
+        if len(expected) > 1:
+            with pytest.raises(ClosureCapExceededError,
+                               match=f"cap of {len(expected) - 1} elements"):
+                close_under_composition(listed, cap=len(expected) - 1)
+        assert close_under_composition(listed, cap=len(expected)) == expected
+
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one_refused(self, cap):
         with pytest.raises(ValueError) as exc:
@@ -268,3 +287,17 @@ class TestMultiplicationTable:
     def test_not_closed_raises_key_error(self):
         with pytest.raises(KeyError):
             multiplication_table([(0, 1, 2), (1, 2, 0)])  # the square (2, 0, 1) is missing
+
+    @pytest.mark.parametrize("elements", [
+        # point 0 alone tells these apart, but (1, 0, 2, 3) . (2, 3, 0, 1) =
+        # (2, 3, 1, 0) is not one of them
+        [(0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1)],
+        [(2, 3, 0, 1), (0, 1, 2, 3), (1, 0, 2, 3)],
+        [(1, 0)],  # no identity
+    ])
+    def test_products_looked_up_whole(self, elements):
+        with pytest.raises(KeyError):
+            multiplication_table(elements)
+
+    def test_empty_list(self):
+        assert multiplication_table([]) == ()
