@@ -248,46 +248,50 @@ def generating_set(ring: FusionRing) -> list[int]:
     products of the unit by the earlier ones.
 
     The span is the closure of e_unit under left multiplication by each x
-    taken, kept as a reduced echelon form mod SPAN_PRIME.  Under the right
-    unit law, N^c_{x,unit} = [x = c], each x taken puts e_x in it, so the
-    span ends as all of F_p^n, and the products of the set have rank n over Q.
+    taken, kept as a reduced echelon form mod SPAN_PRIME in the first r rows
+    of one (n, n) array, each row 1 on its pivot column and 0 on the others'.
+    So e_x lies in the span exactly when x is a pivot whose row is e_x.  Each
+    row is multiplied as it stands when its turn comes: the rows multiplied by
+    any one x are unit triangular on the pivots, so they are a basis of the
+    final span, and none is multiplied once the span is all of F_p^n.  Under
+    the right unit law, N^c_{x,unit} = [x = c], each x taken puts e_x in it,
+    so the span ends as all of F_p^n, and the products of the set have rank n
+    over Q.
     """
     n, p = ring.size, SPAN_PRIME
-    basis = np.zeros((0, n), dtype=np.int64)  # rows, identity on the pivot columns
-    pivots: list[int] = []
-    found: list[np.ndarray] = []              # the rows as they were added
+    basis = np.zeros((n, n), dtype=np.int64)
+    pivots = np.zeros(n, dtype=np.intp)  # the pivot column of each row
+    row = np.full(n, -1)                 # the row of each pivot column
+    r = 0
     gens, left = [], []
 
-    def reduce(v):
-        return (v - v[pivots] @ basis) % p
-
     def add(v):
-        nonlocal basis
-        v = reduce(v)
-        nonzero = np.flatnonzero(v)
+        nonlocal r
+        v = (v - v[pivots[:r]] @ basis[:r]) % p
+        (nonzero,) = v.nonzero()
         if nonzero.size:
             q = int(nonzero[0])
             v = v * pow(int(v[q]), -1, p) % p
-            basis = np.vstack([(basis - np.outer(basis[:, q], v)) % p, v])
-            pivots.append(q)
-            found.append(v)
+            basis[:r] -= basis[:r, q, None] * v
+            basis[:r] %= p
+            basis[r], pivots[r], row[q] = v, q, r
+            r += 1
 
-    e = np.eye(n, dtype=np.int64)
-    add(e[ring.unit_index])
+    add(np.eye(n, dtype=np.int64)[ring.unit_index])
     for x in range(n):
-        if len(pivots) == n:
+        if r == n:
             break
-        if not reduce(e[x]).any():
+        if row[x] >= 0 and np.count_nonzero(basis[row[x]]) == 1:
             continue
         gens.append(x)
         left.append(ring.table[x] % p)
-        closed = len(found)  # rows closed under the earlier generators
-        for v in found[:closed]:
-            add(v @ left[-1] % p)
+        closed = r  # rows closed under the earlier generators
+        for i in range(closed):
+            add(basis[i] @ left[-1] % p)
         i = closed
-        while i < len(found):  # each new row, times every generator
+        while i < r < n:  # each new row, times every generator
             for m in left:
-                add(found[i] @ m % p)
+                add(basis[i] @ m % p)
             i += 1
     return gens
 

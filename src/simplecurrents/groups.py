@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
@@ -20,6 +19,9 @@ def identity_perm(n: int) -> Perm:
 
 def compose_perms(p: Perm, q: Perm) -> Perm:
     """p after q: (p . q)(i) = p[q[i]]."""
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    # itemgetter returns a bare item for one index and raises for none
     return tuple([p[x] for x in q])
 
 
@@ -85,34 +87,30 @@ def multiplication_table(elements: list[Perm]) -> tuple[tuple[int, ...], ...]:
 
     Each element not yet reached from the identity becomes a generator s, in
     index order, with act_s[j] = index of s . elements[j], each product looked
-    up whole by its bytes.  A breadth-first walk from the identity derives
-    each row from its parent's, row(s . p) = act_s[row(p)], so the table costs
-    len(elements) compositions per generator.  Every element is then a
-    product of generators, so the list is closed once every act_s is found.
+    up whole in a dict keyed by the tuples.  A breadth-first walk from the
+    identity derives each row from its parent's, row(s . p) = act_s[row(p)],
+    so the table costs len(elements) compositions per generator.  Every
+    element is then a product of generators, so the list is closed once every
+    act_s is found.
     """
     if not elements:
         return ()
-    e = np.array(elements, dtype=np.int64)
-    k = len(e)
-    index = {row.tobytes(): i for i, row in enumerate(e)}
-    one = index[np.arange(e.shape[1], dtype=np.int64).tobytes()]
-    table = np.empty((k, k), dtype=np.int64)
-    table[one] = np.arange(k)
-    reached = np.zeros(k, dtype=bool)
-    reached[one] = True
+    index = {p: i for i, p in enumerate(elements)}
+    one = index[identity_perm(len(elements[0]))]
+    table: list[tuple[int, ...] | None] = [None] * len(elements)
+    table[one] = tuple(range(len(elements)))
     queue, acts = [one], []
 
     def visit(act, p):
         r = act[p]
-        if not reached[r]:
-            reached[r] = True
-            table[r] = act[table[p]]
+        if table[r] is None:
+            table[r] = compose_perms(act, table[p])
             queue.append(r)
 
-    for s in range(k):
-        if reached[s]:
+    for s, perm in enumerate(elements):
+        if table[s] is not None:
             continue
-        acts.append(np.array([index[row.tobytes()] for row in e[s][e]]))
+        acts.append(tuple([index[compose_perms(perm, e)] for e in elements]))
         i = len(queue)
         for p in queue[:i]:  # closed under the earlier generators: s only
             visit(acts[-1], p)
@@ -120,7 +118,7 @@ def multiplication_table(elements: list[Perm]) -> tuple[tuple[int, ...], ...]:
             for act in acts:
                 visit(act, queue[i])
             i += 1
-    return tuple(map(tuple, table.tolist()))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ derived from the twists through the ribbon identity, which keeps the whole
 pipeline exact.  Everything an invertible object determines (its order,
 self-braiding eigenvalue, A and integer grading charges) is one record, its
 ``InvertibleProfile``, and each category keeps these records as one
-read-only table, ``ModularCategoryData.profiles``, built in one loop over
-the invertibles.  ``validate`` is the one check of category data, built or
-loaded, and fills that table.
+read-only table, ``ModularCategoryData.profiles``, built from one array of
+monodromies over the invertibles.  ``validate`` is the one check of category
+data, built or loaded, and fills that table.
 
 ``build_wzw_data`` makes the level-k fusion table by the Kac-Walton fold in
 int64 arrays, one row of pairs per orbit of the simple currents, written
@@ -63,12 +63,16 @@ class ModularCategoryData:
     @cached_property
     def profiles(self) -> MappingProxyType[int, InvertibleProfile]:
         """{g: InvertibleProfile} for each invertible g, the unit included, in
-        index order (cached, read-only), built one g at a time.
+        index order (cached, read-only).  Every monodromy of every g is one
+        array pass (_monodromy_turns), then each g in turn raises
         InconsistentDataError, naming g, unless each monodromy of g is an M-th
-        root, |d_g| = 1, q^2 is an M-th root and q an order-M (M odd) or
-        order-2M root, checked in that order.  Each monodromy is an integer
-        v over den, the lcm of the twist denominators (see _turns): an M-th
-        root exactly when den divides v * M, with charge Q_g(x) = v * M / den.
+        root (naming the first x that is not), |d_g| = 1, q^2 is an M-th root
+        and q an order-M (M odd) or order-2M root, checked in that order.  Each
+        monodromy is an integer v over den, the lcm of the twist denominators
+        (see _turns): an M-th root exactly when den divides v * M, with charge
+        Q_g(x) = v * M / den.  The arrays are int64 while den * max(2, M) <
+        2^63, which bounds each v * M and each twist difference, and Python
+        ints past it, as a file's twists may need.
 
         q is the twist of g, shifted by a half turn when d_g = -1 (the ribbon
         identity theta_g = q * d_g; no unitary level-k example has d_g = -1,
@@ -79,20 +83,24 @@ class ModularCategoryData:
         """
         ring = self.ring
         den, turns = _turns(self.twist)
+        gs = fusion.invertibles(ring)
+        orders = [fusion.invertible_order(ring, g) for g in gs]
+        if den * max([2, *orders]) < 2 ** 63:
+            turns = turns.astype(np.int64)
+        perms = np.array([ring.invertible_permutations[g] for g in gs],
+                         dtype=np.intp).reshape(len(gs), self.size)
+        v = _monodromy_turns(perms, den, turns, gs)
+        vm = v * np.array(orders, dtype=turns.dtype)[:, None]
+        charges, off = (vm // den).tolist(), vm % den
+        faulty = (off != 0).any(axis=1).tolist()
         out = {}
-        for g in fusion.invertibles(ring):
+        for i, (g, m) in enumerate(zip(gs, orders)):
             label = ring.simples[g]
-            m = fusion.invertible_order(ring, g)
-            perm = ring.invertible_permutations[g]
-            charges = []
-            for x in range(self.size):
-                v = _monodromy_turns(perm, den, turns, g, x)
-                charge, off = divmod(v * m, den)
-                if off:
-                    raise InconsistentDataError(
-                        f"monodromy {RationalAngle(v, den)} of {label} with "
-                        f"{ring.simples[x]} is not an order-{m} root")
-                charges.append(charge)
+            if faulty[i]:
+                x = np.flatnonzero(off[i])[0]
+                raise InconsistentDataError(
+                    f"monodromy {RationalAngle(int(v[i, x]), den)} of {label} with "
+                    f"{ring.simples[x]} is not an order-{m} root")
             d = self.qdim[g]
             if not abs(abs(d) - 1.0) <= QDIM_TOL:  # NaN fails too
                 raise InconsistentDataError(
@@ -106,7 +114,7 @@ class ModularCategoryData:
                 raise InconsistentDataError(
                     f"q = {q} has invalid order for {label} of order {m}")
             out[g] = InvertibleProfile(g=g, label=label, M=m, q=q, q_squared=q2,
-                                       A=m // q2.order, charges=tuple(charges))
+                                       A=m // q2.order, charges=tuple(charges[i]))
         return MappingProxyType(out)
 
 
@@ -354,22 +362,22 @@ def monodromy(data: ModularCategoryData, g: int, x: int) -> RationalAngle:
     """
     den, turns = _turns(data.twist)
     perm = fusion.fuse_permutation(data.ring, g)
-    return RationalAngle(_monodromy_turns(perm, den, turns, g, x), den)
+    return RationalAngle(_monodromy_turns(np.array([perm]), den, turns, [g])[0, x], den)
 
 
-def _turns(twist: tuple[RationalAngle, ...]) -> tuple[int, list[int]]:
+def _turns(twist: tuple[RationalAngle, ...]) -> tuple[int, np.ndarray]:
     """(den, turns): every twist as turns[x] / den over den = lcm of the twist
-    denominators, in Python ints, so exact at any size."""
+    denominators, an object array of Python ints, so exact at any size."""
     den = lcm(*(t.den for t in twist))
-    return den, [t.num * (den // t.den) for t in twist]
+    return den, np.array([t.num * (den // t.den) for t in twist], dtype=object)
 
 
-def _monodromy_turns(perm: tuple[int, ...], den: int, turns: list[int], g: int,
-                     x: int) -> int:
-    """v in [0, den) with monodromy(g, x) = v / den, from perm, the fusion
-    permutation of g, and the twists as turns over den (see _turns): the one
-    twist difference of the package."""
-    return (turns[perm[x]] - turns[g] - turns[x]) % den
+def _monodromy_turns(perms: np.ndarray, den: int, turns: np.ndarray, gs) -> np.ndarray:
+    """V[i, x] in [0, den) with monodromy(gs[i], x) = V[i, x] / den, from perms,
+    the (k, n) fusion permutations of the k invertibles gs, and the twists as
+    turns over den (see _turns), int64 only while 2 * den < 2^63 so that no
+    difference overflows: the one twist difference of the package."""
+    return (turns[perms] - turns[gs][:, None] - turns) % den
 
 
 def grading(profile: InvertibleProfile, zeta: RationalAngle) -> tuple[int, ...]:

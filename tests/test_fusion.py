@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from simplecurrents import fusion, lie, modular
 from simplecurrents.fusion import FusionRing, NotInvertibleError, TooLargeError
-from test_catfile import ising_payload, semion_payload, z2xz2_payload
+from test_catfile import (GOLDEN_SHA256, cyclic_factor, deligne_payload, ising_payload,
+                          semion_payload, z2xz2_payload)
 
 
 def trivial_ring():
@@ -279,6 +280,108 @@ def relabelled(ring, perm):
     table = np.zeros_like(ring.table)
     table[np.ix_(p, p, p)] = ring.table
     return ring_with_table(FusionRing(simples, p[ring.unit_index], dual, {}), table)
+
+
+def reference_generating_set(ring):
+    """generating_set as it was before the preallocated basis: the echelon form
+    grown by one np.vstack and one np.outer per row, and the rows multiplied
+    as they were added.  The oracle of the generating set."""
+    n, p = ring.size, fusion.SPAN_PRIME
+    basis = np.zeros((0, n), dtype=np.int64)
+    pivots, found, gens, left = [], [], [], []
+
+    def reduce(v):
+        return (v - v[pivots] @ basis) % p
+
+    def add(v):
+        nonlocal basis
+        v = reduce(v)
+        nonzero = np.flatnonzero(v)
+        if nonzero.size:
+            q = int(nonzero[0])
+            v = v * pow(int(v[q]), -1, p) % p
+            basis = np.vstack([(basis - np.outer(basis[:, q], v)) % p, v])
+            pivots.append(q)
+            found.append(v)
+
+    e = np.eye(n, dtype=np.int64)
+    add(e[ring.unit_index])
+    for x in range(n):
+        if len(pivots) == n:
+            break
+        if not reduce(e[x]).any():
+            continue
+        gens.append(x)
+        left.append(ring.table[x] % p)
+        closed = len(found)
+        for v in found[:closed]:
+            add(v @ left[-1] % p)
+        i = closed
+        while i < len(found):
+            for m in left:
+                add(found[i] @ m % p)
+            i += 1
+    return gens
+
+
+def pointed_ring(*moduli):
+    """The fusion ring of SU(N1)_1 x ... x SU(Nm)_1: Z_N1 x ... x Z_Nm."""
+    return payload_ring(deligne_payload(*map(cyclic_factor, moduli)))
+
+
+@st.composite
+def unassociative_rings(draw):
+    """A ring on n <= 5 self-dual simples, unit 0, with the unit and duality
+    laws and random multiplicities 0 to 3 elsewhere: mostly not associative,
+    as generating_set sees it before the associativity check."""
+    n = draw(st.integers(2, 5))
+    table = np.zeros((n, n, n), dtype=np.int64)
+    table[0] = table[:, 0] = np.eye(n, dtype=np.int64)
+    for a in range(1, n):
+        for b in range(1, n):
+            table[a, b, 0] = a == b
+            table[a, b, 1:] = draw(st.lists(st.integers(0, 3), min_size=n - 1,
+                                            max_size=n - 1))
+    return FusionRing([str(x) for x in range(n)], 0, range(n), table)
+
+
+class TestGeneratingSetOracle:
+    @pytest.mark.parametrize("family,rank,level", sorted(GOLDEN_SHA256))
+    def test_golden_builds(self, family, rank, level):
+        ring = built_ring(family, rank, level)
+        assert fusion.generating_set(ring) == reference_generating_set(ring)
+
+    @pytest.mark.parametrize("moduli", [(2,), (12,), (2, 2), (2, 2, 2), (3, 3), (2, 4),
+                                        (2, 2, 6), (6, 6), (2, 3, 5)])
+    def test_pointed(self, moduli):
+        ring = pointed_ring(*moduli)
+        gens = fusion.generating_set(ring)
+        assert gens == reference_generating_set(ring)
+        assert fusion.axiom_violation(ring) is None
+
+    @pytest.mark.parametrize("moduli,shift", [((2, 2, 2), 5), ((3, 3), 4), ((6,), 1)])
+    def test_pointed_unit_off_index_0(self, moduli, shift):
+        ring = pointed_ring(*moduli)
+        n = ring.size
+        ring = relabelled(ring, [(x + shift) % n for x in range(n)])
+        assert ring.unit_index == shift
+        assert fusion.generating_set(ring) == reference_generating_set(ring)
+
+    def test_built_unit_off_index_0(self, sl4_level2):
+        n = sl4_level2.size
+        for perm in [[(x + 3) % n for x in range(n)], list(reversed(range(n)))]:
+            ring = relabelled(sl4_level2.ring, perm)
+            assert ring.unit_index != 0
+            assert fusion.generating_set(ring) == reference_generating_set(ring)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 2 ** 26 - 1])
+    def test_rank2_rings(self, m):
+        ring = rank2_ring(m)
+        assert fusion.generating_set(ring) == reference_generating_set(ring) == [1]
+
+    @given(unassociative_rings())
+    def test_unassociative_rings(self, ring):
+        assert fusion.generating_set(ring) == reference_generating_set(ring)
 
 
 class TestGeneratingSet:

@@ -301,3 +301,32 @@ class TestMultiplicationTable:
 
     def test_empty_list(self):
         assert multiplication_table([]) == ()
+
+
+class TestShortPermutations:
+    # itemgetter returns a bare item for one index and raises for none
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_compose_and_order(self, n):
+        e = identity_perm(n)
+        assert compose_perms(e, e) == e and type(compose_perms(e, e)) is tuple
+        assert perm_order(e) == 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_closure_and_table(self, n):
+        e = identity_perm(n)
+        assert close_under_composition([e]) == [e]
+        assert close_under_composition([e, e], cap=1) == [e]
+        assert multiplication_table([e]) == ((0,),)
+
+
+@pytest.mark.parametrize("gens,name", [
+    ([(1, 0, 2, 3), (1, 2, 3, 0)], "group of order 24"),  # S4
+    (dihedral_generators(8), "D8"),
+    ([regular_representation(quaternion_table())[i] for i in (2, 4)], "Q8"),
+])
+def test_non_abelian_tables_equal_the_composition_table(gens, name):
+    elements = close_under_composition(gens)
+    table = multiplication_table(elements)
+    assert table == table_by_composition(elements)
+    assert all(type(row) is tuple for row in table)
+    assert isomorphism_type(table) == name

@@ -4,7 +4,7 @@ import itertools
 import time
 import weakref
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -433,6 +433,109 @@ class TestChargeTableCache:
         for pair in [(g, x), (x, g)]:
             with pytest.raises(NotInvertibleError):
                 currents.commute_test(sl4_level2, *pair)
+
+
+def unchecked_category(payload):
+    """The category of a file payload, made with no check beyond the ring's."""
+    return modular.ModularCategoryData(
+        ring=FusionRing(payload["simples"], 0, payload["dual"],
+                        np.array(payload["fusion"], dtype=np.int64)),
+        twist=tuple(angle(*t) for t in payload["twists"]), qdim=tuple(payload["qdims"]))
+
+
+def with_twist_shift(data, label, shift):
+    """data with the twist of ``label`` moved by ``shift``."""
+    x = data.ring.index(label)
+    return dataclasses.replace(data, twist=tuple(
+        t + shift if y == x else t for y, t in enumerate(data.twist)))
+
+
+def first_bad_monodromy(data):
+    """The refusal of the first (g, x), g first, each in index order, whose
+    monodromy is no root of g's order, taken pair by pair in RationalAngle
+    arithmetic as the records were checked one g at a time: the reference."""
+    ring = data.ring
+    for g in fusion.invertibles(ring):
+        m = fusion.invertible_order(ring, g)
+        for x in range(data.size):
+            mono = monodromy_by_angles(data, g, x)
+            if m % mono.order:
+                return (f"monodromy {mono} of {ring.simples[g]} with "
+                        f"{ring.simples[x]} is not an order-{m} root")
+    return None
+
+
+def monodromy_turns_by_pair(perm, den, turns, g, x):
+    """The twist difference for one pair in Python ints, as _monodromy_turns
+    took it before it took arrays: the reference of the charge array."""
+    return (turns[perm[x]] - turns[g] - turns[x]) % den
+
+
+# SU(2)_1 x Ising: objects 0,0 0,eps 0,sigma 1,0 1,eps 1,sigma, the first
+# five but the sigmas invertible.  Moving the twist of 1,sigma by 1/3 breaks
+# the monodromies of 1,0 and 1,eps with 0,sigma and 1,sigma, and no other.
+SU2_ISING = (cyclic_factor(2), ising_factor(Fraction(1, 16)))
+
+
+class TestChargeArrayFaults:
+    @pytest.mark.parametrize("faulty_qdim,message", [
+        ("0,eps", "invertible 0,eps has |qdim| = 2.0, expected 1"),
+        ("1,eps", "monodromy 1/3 of 1,0 with 0,sigma is not an order-2 root"),
+        # one g with both faults: its monodromies are checked before |d_g|
+        ("1,0", "monodromy 1/3 of 1,0 with 0,sigma is not an order-2 root"),
+    ])
+    def test_first_invertible_named_first(self, faulty_qdim, message):
+        data = with_twist_shift(unchecked_category(deligne_payload(*SU2_ISING)),
+                                "1,sigma", angle(1, 3))
+        qdim = list(data.qdim)
+        qdim[data.ring.index(faulty_qdim)] = 2.0
+        data = dataclasses.replace(data, qdim=tuple(qdim))
+        with pytest.raises(InconsistentDataError) as exc:
+            data.profiles
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("factors,label,shift,message", [
+        (SU2_ISING, "1,sigma", angle(1, 3),
+         "monodromy 1/3 of 1,0 with 0,sigma is not an order-2 root"),
+        (SU2_ISING, "0,sigma", angle(1, 3),
+         "monodromy 2/3 of 1,0 with 0,sigma is not an order-2 root"),
+        # 1,0 fails first with 1,sigma, though 2,0 fails at the earlier 0,sigma
+        ((cyclic_factor(3), ising_factor(Fraction(1, 16))), "2,sigma", angle(1, 5),
+         "monodromy 13/15 of 1,0 with 1,sigma is not an order-3 root"),
+        ((cyclic_factor(2), cyclic_factor(4)), "1,3", angle(1, 2 ** 70),
+         f"monodromy {2 ** 69 + 1}/{2 ** 70} of 0,1 with 1,2 is not an order-4 root"),
+    ])
+    def test_first_pair_named(self, factors, label, shift, message):
+        data = with_twist_shift(unchecked_category(deligne_payload(*factors)), label, shift)
+        with pytest.raises(InconsistentDataError) as exc:
+            data.profiles
+        assert str(exc.value) == first_bad_monodromy(data) == message
+
+    # SU(3)_1 x Ising with the twist 1/D on sigma: den = 6D and the largest
+    # order is 6, so den * M = 36 D
+    @pytest.mark.parametrize("d,dtype", [((2 ** 63 - 1) // 36 // 6 * 6 - 1, np.int64),
+                                         ((2 ** 63 - 1) // 36 // 6 * 6 + 5, object)])
+    def test_both_dtype_paths(self, monkeypatch, d, dtype):
+        assert gcd(d, 6) == 1 and (36 * d < 2 ** 63) == (dtype is np.int64)
+        dtypes, turns_of = [], modular._monodromy_turns
+
+        def recorded(perms, den, turns, gs):
+            dtypes.append(turns.dtype)
+            return turns_of(perms, den, turns, gs)
+        monkeypatch.setattr(modular, "_monodromy_turns", recorded)
+        payload = deligne_payload(cyclic_factor(3), ising_factor(Fraction(1, d)))
+        data, _ = catfile.payload_to_category(payload)
+        assert dtypes == [np.dtype(dtype)]
+        den = lcm(*(t.den for t in data.twist))
+        turns = [t.num * (den // t.den) for t in data.twist]
+        assert den == 6 * d and max(p.M for p in data.profiles.values()) == 6
+        for g, p in data.profiles.items():
+            perm = fusion.fuse_permutation(data.ring, g)
+            assert p.charges == tuple(
+                monodromy_turns_by_pair(perm, den, turns, g, x) * p.M // den
+                for x in range(data.size))
+            assert all(type(q) is int for q in p.charges)
+        assert_charges_are_the_monodromies(data)
 
 
 # the categories the suite builds, and seven more of other types
