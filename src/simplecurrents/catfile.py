@@ -14,15 +14,15 @@ Schema (version 1, keys sorted, UTF-8):
 
 External files (source = "external") let non-level-k data, e.g. an Ising
 category, exercise the auto-equivalence machinery; they go through exactly
-the same validation as built files.  This module checks only the encoding,
-zero and repeated fusion entries included: ``FusionRing`` checks each fusion
-entry (its key in [0, n), its multiplicity within int64) and the simple
-count, ``modular.validate`` the list lengths and every identity, and each
-refusal reaches the caller as CategoryFileError.  On load the types of the
-fusion quads and the twists are checked by one bulk gate, and an
-entry-by-entry scan runs only when it fails, to name the first bad entry.
-The quads then become one (m, 4) int64 array, tested for zero and repeated
-entries by array operations and handed to ``FusionRing`` as it is.
+the same validation as built files.  This module checks only the encoding:
+``FusionRing`` checks each fusion entry (no zero and no repeated (a, b, c),
+its key in [0, n), its multiplicity within int64) and the simple count,
+``modular.validate`` the list lengths and every identity, and each refusal
+reaches the caller as CategoryFileError.  On load the types of the fusion
+quads and the twists are checked by one bulk gate, and an entry-by-entry
+scan runs only when it fails, to name the first bad entry.  The quads then
+go to ``FusionRing`` as one (m, 4) int64 array, or as the list itself when
+a value is past int64.
 
 One serializer, ``_canonical_chunks``, gives exactly the bytes of
 ``json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False)`` + "\\n".
@@ -206,42 +206,6 @@ def _int_entries(payload: dict, key: str, length: int, what: str) -> list:
     return raw if _int_rows(raw, length) else _entries(payload, key, _ints(length), what)
 
 
-def _increasing(keys: np.ndarray) -> bool:
-    """Whether the rows (a, b, c) of keys strictly increase in lexicographic order."""
-    (a0, b0, c0), (a1, b1, c1) = keys[:-1].T, keys[1:].T
-    return bool(((a1 > a0) | (a1 == a0) & ((b1 > b0) | (b1 == b0) & (c1 > c0))).all())
-
-
-def _fusion_tensor(quads: list):
-    """The gated fusion quads as ``FusionRing`` takes them, once no multiplicity
-    is 0 and no (a, b, c) repeats; else CategoryFileError naming the first such
-    quad in file order.  Normally the (m, 4) int64 array, checked by bulk
-    tests: keys sorted as in every written file are compared with their
-    neighbours, any other order after a sort.  Only when these fail, or a value
-    is past int64, are the quads scanned one by one; the scan names the fault,
-    or, past int64, gives the dict {(a, b): {c: N}}, whose entry ``FusionRing``
-    refuses."""
-    try:
-        q = _as_array(quads)
-    except OverflowError:
-        pass
-    else:
-        keys = q[:, :3]
-        if not _increasing(keys):
-            keys = keys[np.lexsort(keys.T[::-1])]
-        if q[:, 3].all() and _increasing(keys):
-            return q
-    tensor: dict[tuple[int, int], dict[int, int]] = {}
-    for a, b, c, m in quads:
-        if m == 0:
-            raise CategoryFileError(f"zero fusion entry for ({a},{b},{c})")
-        fiber = tensor.setdefault((a, b), {})
-        if c in fiber:
-            raise CategoryFileError(f"duplicate fusion entry for ({a},{b},{c})")
-        fiber[c] = m
-    return tensor
-
-
 def wzw_source(family: str, rank: int, level: int) -> dict:
     """The source record of a built level-k category file."""
     return {"family": family.upper(), "rank": rank, "level": level}
@@ -289,7 +253,10 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
         if not (0 <= num < den and math.gcd(num, den) == 1):
             raise CategoryFileError(
                 f"twist [{num},{den}] must be stored reduced with 0 <= num < den")
-    tensor = _fusion_tensor(quads)
+    try:
+        tensor = _as_array(quads)
+    except OverflowError:  # the ring names the value past int64
+        tensor = quads
     try:
         ring = FusionRing(simples=simples, unit_index=0, dual=dual, tensor=tensor)
     except fusion.TooLargeError:  # the ring's one check of the simple count

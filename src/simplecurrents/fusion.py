@@ -14,6 +14,8 @@ larger inputs are refused with TooLargeError before any work.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -81,18 +83,44 @@ def _check_entry(a, b, c, m, n: int) -> None:
                          f"must fit in int64, got {m}")
 
 
-def _dict_quads(tensor, n: int) -> np.ndarray:
-    """The entries of {(a, b): {c: N}} as an (m, 4) int64 array of rows
-    [a, b, c, N], in the dict's order.  One bulk test of the types; only when
-    it fails, or a value is past int64, are the entries scanned one by one,
-    and the first that is not an int64 integer with its key in [0, n) named."""
-    entries = [(a, b, c, m) for (a, b), fiber in tensor.items() for c, m in fiber.items()]
-    try:
-        if set(map(type, chain.from_iterable(entries))) <= {int}:
-            return np.fromiter(chain.from_iterable(entries), np.int64,
-                               4 * len(entries)).reshape(-1, 4)
-    except OverflowError:
-        pass
+def _increasing(keys: np.ndarray) -> bool:
+    """Whether the rows (a, b, c) of keys strictly increase in lexicographic order."""
+    (a0, b0, c0), (a1, b1, c1) = keys[:-1].T, keys[1:].T
+    return bool(((a1 > a0) | (a1 == a0) & ((b1 > b0) | (b1 == b0) & (c1 > c0))).all())
+
+
+def _entry_array(entries, n: int) -> np.ndarray:
+    """The fusion entries, an (m, 4) int64 array or a sequence of rows
+    [a, b, c, N], as an (m, 4) int64 array.  Bulk tests first: no N is 0, no
+    (a, b, c) repeats (each key against its neighbour, after a lexsort only
+    when the keys are not sorted) and every key lies in [0, n).  Only when one
+    fails, or a value is not an int64 integer, are the rows scanned: first for
+    the first zero or repeat in row order, a zero named before a repeat within
+    a row, then by ``_check_entry``; each refusal is a ValueError."""
+    q = None
+    if isinstance(entries, np.ndarray):
+        if entries.dtype != np.int64 or entries.shape[1:] != (4,):
+            raise ValueError(f"fusion table must be an int64 array of shape "
+                             f"{(n,) * 3}, got {entries.dtype} of shape {entries.shape}")
+        q = entries
+    elif set(map(len, entries)) <= {4} and set(map(type, chain.from_iterable(entries))) <= {int}:
+        with suppress(OverflowError):
+            q = np.fromiter(chain.from_iterable(entries), np.int64,
+                            4 * len(entries)).reshape(-1, 4)
+    if q is not None:
+        keys = q[:, :3]
+        if (q[:, 3].all()
+                and (_increasing(keys) or _increasing(keys[np.lexsort(keys.T[::-1])]))
+                and not ((keys < 0) | (keys >= n)).any()):
+            return q
+        entries = q.tolist()
+    seen = set()
+    for a, b, c, m in entries:
+        if is_int(m) and m == 0:
+            raise ValueError(f"zero fusion entry for ({a},{b},{c})")
+        if (a, b, c) in seen:
+            raise ValueError(f"duplicate fusion entry for ({a},{b},{c})")
+        seen.add((a, b, c))
     for entry in entries:
         _check_entry(*entry, n)
     return np.array(entries, dtype=np.int64).reshape(-1, 4)  # numpy integers
@@ -102,20 +130,20 @@ def _dict_quads(tensor, n: int) -> np.ndarray:
 class FusionRing:
     """A frozen fusion ring over an ordered set of simple objects.
 
-    Built from ``tensor`` in one of three forms: a sparse dict
-    {(a, b): {c: N^c_{ab}}}, an (m, 4) int64 array of rows [a, b, c, N^c_{ab}]
-    with no (a, b, c) twice (a file's quads), or an int64 array T[a, b, c] =
-    N^c_{ab} of shape (n, n, n).  It is kept only as the read-only int64
-    ``table``, which no caller holds (a table is copied, the other forms are
-    written into a new one), so every query is read-only and thread-safe.
-    Rings are equal when labels, unit, dual and table are.  More than
-    MAX_SIMPLES simples raise TooLargeError.  This is the one check of each
-    fusion entry: a dict's keys and multiplicities must be integers within
-    int64, a bool excluded, and every key of a dict or of the rows must lie in
-    [0, n); each refusal is a ValueError naming the first (a, b, c) in the
-    order given.  Any other array (bool and float included) raises ValueError
-    naming its dtype and shape.  Negative multiplicities are kept, for
-    axiom_violation to report.
+    Built from ``tensor`` in one of two forms: entry rows [a, b, c, N^c_{ab}],
+    an (m, 4) int64 array or a sequence of rows (a file's quads; a sparse dict
+    {(a, b): {c: N^c_{ab}}} is flattened into rows, its integer 0 read as no
+    entry), or an int64 table T[a, b, c] = N^c_{ab} of shape (n, n, n).  It is
+    kept only as the read-only int64 ``table``, which no caller holds (a table
+    is copied, entries are written into a new one), so every query is
+    read-only and thread-safe.  Rings are equal when labels, unit, dual and
+    table are.  More than MAX_SIMPLES simples raise TooLargeError.  This is the
+    one check of each fusion entry (``_entry_array``): a refusal is a
+    ValueError naming the first zero N or repeated (a, b, c) in the order
+    given, else the first key or multiplicity that is not an integer (a bool
+    excluded) within int64 with its key in [0, n).  Any other array (bool and
+    float included) raises ValueError naming its dtype and shape.  Negative
+    multiplicities are kept, for axiom_violation to report.
     """
 
     simples: tuple[str, ...]
@@ -126,21 +154,15 @@ class FusionRing:
     def __init__(self, simples, unit_index: int, dual, tensor):
         n = len(simples)
         check_size(n, "fusion ring")
-        if not isinstance(tensor, np.ndarray):
-            tensor = _dict_quads(tensor, n)
-        elif tensor.dtype != np.int64 or tensor.shape != (n,) * 3 and tensor.shape[1:] != (4,):
-            raise ValueError(f"fusion table must be an int64 array of shape "
-                             f"{(n,) * 3}, got {tensor.dtype} of shape {tensor.shape}")
-        if tensor.ndim == 3:
+        if isinstance(tensor, np.ndarray) and tensor.dtype == np.int64 and tensor.shape == (n,) * 3:
             table = tensor.copy()
         else:
-            keys = tensor[:, :3]
-            outside = ((keys < 0) | (keys >= n)).any(axis=1)
-            if outside.any():
-                a, b, c = keys[outside.argmax()].tolist()
-                raise ValueError(f"fusion key (a, b, c) = ({a}, {b}, {c}) is outside [0, {n})")
+            if isinstance(tensor, Mapping):
+                tensor = [(a, b, c, m) for (a, b), fiber in tensor.items()
+                          for c, m in fiber.items() if not is_int(m) or m != 0]
+            quads = _entry_array(tensor, n)
             table = np.zeros((n,) * 3, dtype=np.int64)
-            table[tuple(keys.T)] = tensor[:, 3]
+            table[tuple(quads[:, :3].T)] = quads[:, 3]
         table.setflags(write=False)
         object.__setattr__(self, "simples", tuple(simples))
         object.__setattr__(self, "unit_index", unit_index)

@@ -133,8 +133,8 @@ def _identity_of(table) -> int:
     raise ValueError("table has no identity element")
 
 
-def _element_orders(table) -> list[int]:
-    e = _identity_of(table)
+def _element_orders(table, e: int) -> list[int]:
+    """The order of each element, e the identity."""
     orders = []
     for a in range(len(table)):
         x = a
@@ -156,9 +156,10 @@ def _abelian_summands(table) -> list[int]:
     n = len(table)
     if n == 1:
         return []
-    orders = _element_orders(table)
+    e = _identity_of(table)
+    orders = _element_orders(table, e)
     a = max(range(n), key=lambda i: orders[i])
-    sub = {_identity_of(table)}
+    sub = {e}
     x = a
     while x not in sub:
         sub.add(x)
@@ -216,11 +217,11 @@ def isomorphism_type(table) -> str:
     n = len(table)
     if n == 1:
         return "trivial"
-    abelian = all(table[i][j] == table[j][i] for i in range(n) for j in range(i))
-    if abelian:
+    if all(tuple(row) == column for row, column in zip(table, zip(*table))):
         return " x ".join(f"Z{d}" for d in _abelian_summands(table))
     if n <= 16:
-        sig = (n, tuple(sorted(Counter(_element_orders(table)).items())),
+        orders = _element_orders(table, _identity_of(table))
+        sig = (n, tuple(sorted(Counter(orders).items())),
                tuple(_centre_summands(table)))
         if sig in _NONABELIAN_BY_SIGNATURE:
             return _NONABELIAN_BY_SIGNATURE[sig]

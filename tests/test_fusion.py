@@ -686,19 +686,128 @@ def keyed_entries(draw):
     return n, [(*key, m) for key, m in zip(keys, values)]
 
 
+@st.composite
+def faulty_entries(draw):
+    """n and rows [a, b, c, N] of Python ints with up to two faults, each a
+    zero N, a repeated key, a key outside [0, n) or a value past int64, in
+    key order or shuffled."""
+    n = draw(st.integers(1, 4))
+    nonzero = st.integers(-2 ** 63, 2 ** 63 - 1).filter(bool)
+    keys = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), unique=True,
+                         min_size=1, max_size=20))
+    rows = [[*key, draw(nonzero)] for key in keys]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["zero", "repeat", "outside", "past int64"]))
+        if fault == "zero":
+            rows[i][3] = 0
+        elif fault == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), rows[i][:3] + [draw(nonzero)])
+        elif fault == "outside":
+            rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from([-1, n, 2 ** 62]))
+        else:
+            rows[i][draw(st.integers(0, 3))] = draw(st.sampled_from([2 ** 63, -2 ** 63 - 1]))
+    return n, sorted(rows) if draw(st.booleans()) else draw(st.permutations(rows))
+
+
+def two_owner_refusal(rows, n):
+    """The refusal of the rows as it was when the file reader owned the zero
+    and repeat checks: its scan in row order, then the ring's check of each
+    entry; None if the rows pass both.  The oracle of the ring's one gate."""
+    fibers = {}
+    for a, b, c, m in rows:
+        if m == 0:
+            return f"zero fusion entry for ({a},{b},{c})"
+        fiber = fibers.setdefault((a, b), {})
+        if c in fiber:
+            return f"duplicate fusion entry for ({a},{b},{c})"
+        fiber[c] = m
+    for row in rows:
+        try:
+            fusion._check_entry(*row, n)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def entry_forms(rows) -> list:
+    """The rows as a list, and as an int64 array when every value fits."""
+    if all(-2 ** 63 <= x < 2 ** 63 for row in rows for x in row):
+        return [rows, np.array(rows, dtype=np.int64).reshape(-1, 4)]
+    return [rows]
+
+
 class TestQuadInput:
     @given(keyed_entries())
     def test_quads_give_the_ring_of_the_dict(self, case):
+        # a drawn zero is refused in the rows, and read as no entry in the dict
         n, entries = case
         simples, dual = tuple(map(str, range(n))), tuple(range(n))
         tensor = {}
         for a, b, c, m in entries:
             tensor.setdefault((a, b), {})[c] = m
         quads = np.array(entries, dtype=np.int64).reshape(-1, 4)
+        zeros = [(a, b, c) for a, b, c, m in entries if m == 0]
+        if zeros:
+            with pytest.raises(ValueError) as exc:
+                FusionRing(simples, 0, dual, quads)
+            assert str(exc.value) == "zero fusion entry for ({},{},{})".format(*zeros[0])
+            return
         ring = FusionRing(simples, 0, dual, quads)
         assert ring == FusionRing(simples, 0, dual, tensor)
         assert {tuple(k): int(ring.table[tuple(k)]) for k in np.argwhere(ring.table).tolist()} \
-            == {(a, b, c): m for a, b, c, m in entries if m}
+            == {(a, b, c): m for a, b, c, m in entries}
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[0, 0, 0, 1], [1, 1, 0, 0]], "zero fusion entry for (1,1,0)"),
+        ([[1, 1, 0, 1], [0, 0, 0, 1], [1, 1, 0, 3]], "duplicate fusion entry for (1,1,0)"),
+        ([[1, 1, 0, 1], [1, 1, 0, 0]], "zero fusion entry for (1,1,0)"),  # the zero is named
+        ([[0, 2, 0, 1], [1, 1, 0, 1], [1, 1, 0, 1]], "duplicate fusion entry for (1,1,0)"),
+        ([[2 ** 63 - 1, 0, 0, 1], [0, 1, 1, 1], [0, 1, 1, 2]],
+         "duplicate fusion entry for (0,1,1)"),
+        # past int64: the list form only
+        ([[2 ** 70, 0, 0, 1], [0, 1, 1, 1], [0, 1, 1, 2]], "duplicate fusion entry for (0,1,1)"),
+    ])
+    def test_zero_and_repeated_entries_refused(self, rows, message):
+        forms = entry_forms(rows)
+        for tensor in forms:
+            with pytest.raises(ValueError) as exc:
+                FusionRing(("0", "x"), 0, (0, 1), tensor)
+            assert str(exc.value) == message
+
+    @given(faulty_entries())
+    def test_refusals_equal_the_two_owner_path(self, case):
+        n, rows = case
+        simples, dual = tuple(map(str, range(n))), tuple(range(n))
+        message = two_owner_refusal(rows, n)
+        forms = entry_forms(rows)
+        for tensor in forms:
+            if message is None:
+                tensor_dict = {}
+                for a, b, c, m in rows:
+                    tensor_dict.setdefault((a, b), {})[c] = m
+                assert FusionRing(simples, 0, dual, tensor) \
+                    == FusionRing(simples, 0, dual, tensor_dict)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    FusionRing(simples, 0, dual, tensor)
+                assert str(exc.value) == message
+
+    def test_rows_of_another_length_refused(self):
+        # read four values at a time, these would be the rows [0, 0, 0, 1] and [1, 1, 0, 1]
+        with pytest.raises(ValueError):
+            FusionRing(("0", "x"), 0, (0, 1), [[0, 0, 0, 1, 1], [1, 0, 1]])
+
+    def test_dict_zero_is_no_entry(self):
+        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+        ring = FusionRing(("0", "x"), 0, (0, 1), tensor)
+        for zero in (0, np.int64(0)):
+            assert FusionRing(("0", "x"), 0, (0, 1), {**tensor, (0, 0): {0: 1, 1: zero}}) == ring
+        for m in (False, 0.0):
+            with pytest.raises(ValueError) as exc:
+                FusionRing(("0", "x"), 0, (0, 1), {**tensor, (0, 0): {0: 1, 1: m}})
+            assert str(exc.value) == (
+                f"fusion multiplicity at (a, b, c) = (0, 0, 1) must be an integer, got {m!r}")
 
     def test_table_is_written_anew(self, sl4_level2):
         ring = sl4_level2.ring

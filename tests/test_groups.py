@@ -243,6 +243,18 @@ class TestIsomorphismType:
         assert len(elements) == 16
         assert isomorphism_type(table) == "non-abelian group of order 16"
 
+    @pytest.mark.parametrize("gens,name", [
+        ([(1, 2, 3, 4, 5, 0)], "Z6"),
+        ([(1, 0, 3, 2), (2, 3, 0, 1)], "Z2 x Z2"),
+        ([(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], "Z4 x Z2"),
+        ([(1, 0, 2), (1, 2, 0)], "S3"),
+        ([(1, 2, 3, 0), (3, 2, 1, 0)], "D4"),
+    ])
+    def test_list_of_lists_table_named_as_its_tuple_form(self, gens, name):
+        _, table = group_of(gens)
+        assert isomorphism_type(table) == name
+        assert isomorphism_type([list(row) for row in table]) == name
+
     def test_large_group_fallback(self):
         elements = sorted(sym_group(range(4)))
         table = multiplication_table(elements)
