@@ -63,12 +63,13 @@ def _table_payload(data: ModularCategoryData, source) -> dict:
     table's nonzero entries [a, b, c, N], sorted by (a, b, c)."""
     ring = data.ring
     t = ring.table
+    at = np.flatnonzero(t)
     return {
         "schema_version": SCHEMA_VERSION,
         "source": source,
         "simples": list(ring.simples),
         "dual": list(ring.dual),
-        "fusion": np.column_stack([np.argwhere(t), t[t != 0]]),
+        "fusion": np.column_stack([*np.unravel_index(at, t.shape), t.reshape(-1)[at]]),
         "twists": [list(t.pair) for t in data.twist],
         "qdims": list(data.qdim),
     }

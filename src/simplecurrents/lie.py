@@ -11,8 +11,9 @@ dimension's sine arguments are P / s for integers P, which Python rounds
 correctly, so they equal float(Fraction(P, s)).
 
 Weight diagrams come from the Freudenthal recursion run over the dominant
-weights of the module only, in integer arithmetic (Moody-Patera), after
-which each dominant weight's Weyl orbit is expanded into the full diagram.
+weights of the module only, in integer arithmetic (Moody-Patera), each
+dominant weight's Weyl orbit expanded into the diagram as soon as its
+multiplicity is known.
 The spec is memoized per Cartan type and weight diagrams per (algebra,
 highest weight).  All functions are pure; the caches are plain
 ``functools.lru_cache`` dictionaries, safe under concurrent reads and
@@ -24,8 +25,9 @@ dominant weight; on the extended Cartan columns, ``spec.extended``, in affine
 labels (lambda_1, ..., lambda_r, lambda_0 = k + h_vee - level), it is the
 Kac-Walton fold into the level-k alcove, and a point left on a wall (a zero
 label) cancels.  ``fusion_coefficients`` folds one pair this way, for
-``tensor_decompose`` and as the oracle of the build, which folds whole rows
-by the same rule in int64 arrays (``modular._fold_rows``).  Simple currents
+``tensor_decompose`` and as the oracle of the build, which folds every row
+of its orbit pass in one pass of chunked int64 arrays by the same
+reflections, taken label by label (``modular._fold_rows``).  Simple currents
 act on the same affine labels, as symmetries of the extended Dynkin diagram.
 """
 
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
 Weight = tuple[int, ...]
@@ -339,13 +341,15 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
     Multiplicities are constant on Weyl orbits, so the Freudenthal recursion
     runs over the dominant weights only (R. V. Moody and J. Patera, Bull. AMS
     7, 1982).  These are the dominant weights reached from lam by subtracting
-    positive roots one at a time while staying dominant.  Each term
-    m(mu + j*alpha) is read off the dominant representative of mu + j*alpha,
-    the j-loop stops at the end of the unbroken alpha-string, and every inner
-    product is scaled to an integer.  Each dominant weight's Weyl orbit is
-    then expanded.  The returned read-only mapping (it is cached) takes each
-    weight of the module to its multiplicity, ordered by depth (height of
-    lam - mu) and then by labels; the total count equals the Weyl dimension.
+    positive roots one at a time while staying dominant, taken by depth, and
+    each one's Weyl orbit is expanded as soon as its multiplicity is known.
+    So each term m(mu + j*alpha) is read from the diagram built so far: the
+    dominant weight of mu + j*alpha has a smaller depth than mu, so its orbit
+    is already there.  The j-loop stops at the end of the unbroken
+    alpha-string, and every inner product is scaled to an integer.  The
+    returned read-only mapping (it is cached) takes each weight of the module
+    to its multiplicity, ordered by depth (height of lam - mu) and then by
+    labels; the total count equals the Weyl dimension.
     """
     lam = _check_weight(spec, lam)
     if any(x < 0 for x in lam):
@@ -357,7 +361,7 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
     while stack:
         mu = stack.pop()
         for labels, height, _, _ in roots:
-            nu = tuple(m - r for m, r in zip(mu, labels))
+            nu = tuple(map(sub, mu, labels))
             if nu not in depth and all(x >= 0 for x in nu):
                 depth[nu] = depth[mu] + height
                 stack.append(nu)
@@ -367,29 +371,28 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
         return sum(a * sum(g * b for g, b in zip(row, x)) for a, row in zip(x, gram))
 
     top = norm_rho(lam)
-    dominant: dict[Weight, int] = {lam: 1}
-    for mu in sorted(depth, key=depth.__getitem__)[1:]:
-        num = 0
-        for labels, _, pairing, norm in roots:
-            base = sum(m * p for m, p in zip(mu, pairing))
-            nu, j = mu, 1
-            while True:
-                nu = tuple(a + b for a, b in zip(nu, labels))
-                m_up = dominant.get(_chamber(finite, nu)[0])
-                if m_up is None:
-                    break
-                num += (base + j * norm) * m_up
-                j += 1
-        den = top - norm_rho(mu)
-        m, rem = divmod(2 * num, den)
-        if rem or m <= 0:
-            raise ArithmeticError(
-                f"Freudenthal recursion gave multiplicity {2 * num}/{den} at {mu} "
-                f"in the module of highest weight {lam} of {spec}")
-        dominant[mu] = m
-
+    mult: dict[Weight, int] = {}  # the diagram so far: the orbits of the dominant weights done
     diagram = []  # (depth, weight, multiplicity) over each dominant weight's orbit
-    for mu, m in dominant.items():
+    for mu in sorted(depth, key=depth.__getitem__):
+        m = 1
+        if mu != lam:
+            num = 0
+            for labels, _, pairing, norm in roots:
+                base = sum(map(mul, mu, pairing))
+                nu, j = mu, 1
+                while True:
+                    nu = tuple(map(add, nu, labels))
+                    m_up = mult.get(nu)
+                    if m_up is None:
+                        break
+                    num += (base + j * norm) * m_up
+                    j += 1
+            den = top - norm_rho(mu)
+            m, rem = divmod(2 * num, den)
+            if rem or m <= 0:
+                raise ArithmeticError(
+                    f"Freudenthal recursion gave multiplicity {2 * num}/{den} at {mu} "
+                    f"in the module of highest weight {lam} of {spec}")
         orbit = {mu: depth[mu]}
         layer = [mu]
         while layer:
@@ -402,7 +405,9 @@ def weight_multiplicities(spec: LieAlgebraSpec, lam: Weight) -> MappingProxyType
                             orbit[v] = orbit[w] + x
                             nxt.append(v)
             layer = nxt
+        mult.update(dict.fromkeys(orbit, m))
         diagram.extend((d, w, m) for w, d in orbit.items())
+    del mult  # not held beside the list and the mapping made from it
     diagram.sort()
     return MappingProxyType({w: m for _, w, m in diagram})
 

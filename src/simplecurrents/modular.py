@@ -11,10 +11,11 @@ read-only table, ``ModularCategoryData.profiles``, built from one array of
 monodromies over the invertibles.  ``validate`` is the one check of category
 data, built or loaded, and fills that table.
 
-``build_wzw_data`` makes the level-k fusion table by the Kac-Walton fold in
-int64 arrays, one row of pairs per orbit of the simple currents, written
-straight into an (n, n, n) table that the ring copies; the pair fold of
-``lie.fusion_coefficients`` is its oracle in the tests.
+``build_wzw_data`` makes the level-k fusion table by the Kac-Walton fold:
+one row of pairs per orbit of the simple currents, every row folded in one
+pass of chunked int64 arrays and written into an (n, n, n) table by the
+currents' column action, one scatter per current; the ring copies the table.
+The pair fold of ``lie.fusion_coefficients`` is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     table, _ = _orbit_fold(spec, k, weights, dims)
     unit = weights.index((0,) * spec.rank)
     # an a with no partner keeps itself, and validate's duality law refuses it
-    dual = [int(row.argmax()) if row.any() else a
-            for a, row in enumerate(table[:, :, unit] != 0)]
+    partner = table[:, :, unit] != 0
+    dual = np.where(partner.any(axis=1), partner.argmax(axis=1), np.arange(len(weights))).tolist()
     ring = FusionRing(
         simples=tuple(lie.weight_label(w) for w in weights),
         unit_index=unit,
@@ -233,16 +234,16 @@ def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight], dims: list[
     Each k Lambda_j of comark 1 not yet in G has its diagram folded against
     every weight (_fold_rows), and its permutation joins G when each product is
     one simple of multiplicity 1 and each simple is one product (E8, F4 and G2
-    have no such node, and G stays trivial).  Then each b not yet done is
-    taken in order of (dims[b], b): its diagram is made once and folded against
-    every a not yet done, and each row fills the columns of b's orbit by the
-    column action and the swap, T[a, Kb, Kc] = T[Kb, a, Kc] = N_{ab}^c for each
-    K in G (J. Fuchs, Simple WZW currents, Commun. Math. Phys. 136, 1991).  A
-    candidate is done once its row is folded, and every member of b's orbit
-    once b is.  So each orbit is folded once, by its first member in that
-    order, against every orbit that comes after it: the smaller diagram of
-    each pair, up to the orbit.
-    validate checks the table.
+    have no such node, and G stays trivial).  A candidate is then done.  Then
+    the pairs of the orbit pass are listed: each b not yet done, taken in
+    order of (dims[b], b), is paired with every a not yet done, and every
+    member of b's orbit is then done.  So each orbit is paired once, by its
+    first member in that order, with every orbit that comes after it: the
+    smaller diagram of each pair, up to the orbit.  All those pairs are folded
+    in one _fold_rows pass, and each row fills the columns of b's orbit by the
+    column action and the swap, T[a, Kb, Kc] = T[Kb, a, Kc] = N_{ab}^c, in one
+    scatter per K in G (J. Fuchs, Simple WZW currents, Commun. Math. Phys.
+    136, 1991).  validate checks the table.
     """
     n = len(weights)
     index = _alcove_index(spec, k)
@@ -257,67 +258,116 @@ def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight], dims: list[
         g = weights.index(tuple(k * (i == j) for i in range(spec.rank)))
         if any(perm[unit] == g for perm in group):
             continue
-        row = _fold_rows(spec, k, weights, index, g, range(n))  # [x, c] = N^c_{x g}
+        row = _fold_rows(spec, k, weights, index, [(g, np.arange(n))])  # [x, c] = N^c_{x g}
         table[g] = table[:, g] = row
         done[g] = True
         if (row.sum(axis=0) == 1).all() and (row.sum(axis=1) == 1).all():
             generators.append(tuple(row.argmax(axis=1).tolist()))
             group = groups.close_under_composition(generators)
     perms = np.array(group)
+    pairs = []
     for b in sorted(range(n), key=lambda x: (dims[x], x)):
-        if done[b]:
-            continue
-        rows = np.flatnonzero(~done)
-        prod = _fold_rows(spec, k, weights, index, b, rows.tolist())
-        for K in perms:
-            table[rows[:, None], K[b], K] = table[K[b], rows[:, None], K] = prod
-        done[perms[:, b]] = True
+        if not done[b]:
+            pairs.append((b, np.flatnonzero(~done)))
+            done[perms[:, b]] = True
+    prod = _fold_rows(spec, k, weights, index, pairs)
+    a = np.concatenate([rows for _, rows in pairs])
+    b = np.repeat([b for b, _ in pairs], [len(rows) for _, rows in pairs])
+    table[a, b] = table[b, a] = prod  # group[0], the identity, moves whole rows
+    flat, a = table.reshape(-1), a[:, None]
+    for K in perms[1:]:
+        flat[(a * n + K[b, None]) * n + K] = flat[(K[b, None] * n + a) * n + K] = prod
     return table, group
 
 
-def _fold_rows(spec: LieAlgebraSpec, k: int, weights: list[Weight], index, b: int, rows):
-    """N^c_{ab} over every c for each a in ``rows``, as an int64 array
-    (len(rows), n), from the weight diagram of b (Kac-Walton, as
-    lie.fusion_with_second_diagram, in arrays): each point lambda_a + rho + nu,
-    in affine labels, is reflected in its first negative label, its sign
-    flipped, until none is left; a point left with a zero label cancels, and
-    the rest are summed at their alcove weight.  ArithmeticError on a negative
-    sum.  The rows are folded in chunks of at most fusion.FOLD_CHUNK_BYTES of
-    points; index maps labels to alcove positions (_alcove_index).
+def _fold_rows(spec: LieAlgebraSpec, k: int, weights: list[Weight], index, pairs):
+    """N^c_{ab} over every c for each a of each (b, rows) in ``pairs``, as one
+    int64 array (sum of len(rows), n) of the rows in that order (Kac-Walton, as
+    lie.fusion_with_second_diagram, in arrays): each point lambda_a + rho +
+    nu, for nu in b's weight diagram, in affine labels, is reflected in each
+    negative label in turn, label by label, its sign flipped each time, until
+    none is left; a point left with a zero label cancels, and the rest are
+    summed at their alcove weight.  Any order of reflections in negative
+    labels ends at the same alcove point, and a point off the walls is taken
+    there by one affine Weyl element only, so the sign is that of
+    lie._chamber, which takes the first negative label each time.  The points
+    are made by broadcasting each diagram over its rows, in chunks (_chunks),
+    a point a column, so that each test over a point's labels runs along
+    whole rows; each chunk has one reflection loop and one sum.
+    ArithmeticError on a negative sum, naming the first such row in that
+    order.  index maps labels to alcove positions (_alcove_index).
     """
     n, r = len(weights), spec.rank
-    comark = np.array(spec.comark, dtype=np.int64)
-    columns = np.array(spec.extended, dtype=np.int64)
-    diagram = lie.weight_multiplicities(spec, weights[b])
-    size = len(diagram)
-    nu = np.array(list(diagram), dtype=np.int64)
-    nu = np.column_stack([nu, -(nu @ comark)])
-    mult = np.fromiter(diagram.values(), dtype=np.int64, count=size)
-    lam = np.array([weights[a] for a in rows], dtype=np.int64) + 1
-    shifted = np.column_stack([lam, k + spec.dual_coxeter - lam @ comark])
-    out = np.empty((len(rows), n), dtype=np.int64)
-    step = max(1, fusion.FOLD_CHUNK_BYTES // (8 * (r + 1) * size))
-    for lo in range(0, len(rows), step):
-        point = (shifted[lo:lo + step, None, :] + nu).reshape(-1, r + 1)
-        sign = np.tile(mult, len(point) // size)
-        live = np.flatnonzero((point < 0).any(axis=1))
+    columns = np.array(spec.extended, dtype=np.int64)[:, :, None]
+    out = np.empty((sum(len(rows) for _, rows in pairs), n), dtype=np.int64)
+    top = 0
+    for chunk in _chunks(spec, k, weights, pairs):
+        size = [len(nu) for _, nu, _ in chunk]
+        count = [len(lam) for lam, _, _ in chunk]
+        point = np.empty((r + 1, np.dot(size, count)), dtype=np.int64)  # a point a column
+        sign = np.empty(point.shape[1], dtype=np.int64)
+        at = 0
+        for lam, nu, mult in chunk:
+            end = at + len(lam) * len(nu)
+            np.add(lam.T[:, :, None], nu.T[:, None, :],
+                   out=point[:, at:end].reshape(r + 1, len(lam), len(nu)))
+            sign[at:end].reshape(len(lam), len(nu))[:] = mult
+            at = end
+        live = np.flatnonzero((point < 0).any(axis=0))
         while live.size:
-            sub = point[live]
-            i = (sub < 0).argmax(axis=1)
-            sub -= sub[np.arange(live.size), i, None] * columns[i]
-            point[live] = sub
-            sign[live] = -sign[live]
-            live = live[(sub < 0).any(axis=1)]
-        keep = np.flatnonzero(point.min(axis=1) > 0)
-        cell = keep // size * n + index(point[keep, :r] - 1)
+            sub, flip = point[:, live], sign[live]
+            for j, column in enumerate(columns):  # each negative label in turn
+                low = np.minimum(sub[j], 0)
+                sub -= column * low
+                flip[low < 0] *= -1
+            point[:, live], sign[live] = sub, flip
+            live = live[(sub < 0).any(axis=0)]
+        keep = np.flatnonzero(point.min(axis=0) > 0)
+        rows = sum(count)
+        owner = np.repeat(np.arange(rows), np.repeat(size, count))  # the row of each point
+        cell = owner[keep] * n + index(point[:r, keep].T - 1)
         # each cell sums at most dim(b) <= MAX_DIAGRAM_WEIGHTS < 2^53 in absolute
         # value, so bincount's float64 sums are exact
-        sums = np.bincount(cell, weights=sign[keep], minlength=len(point) // size * n)
-        out[lo:lo + step] = sums.reshape(-1, n).astype(np.int64)
+        sums = np.bincount(cell, weights=sign[keep], minlength=rows * n)
+        out[top:top + rows] = sums.reshape(rows, n)
+        top += rows
     for row in out[(out < 0).any(axis=1)][:1]:
         bad = {weights[c]: int(row[c]) for c in np.flatnonzero(row < 0)}
         raise ArithmeticError(f"negative fusion multiplicity at {bad}")
     return out
+
+
+def _chunks(spec: LieAlgebraSpec, k: int, weights: list[Weight], pairs):
+    """The pieces (lam, nu, mult) of _fold_rows's points, in lists of at most
+    fusion.FOLD_CHUNK_BYTES of int64 points: lam holds lambda_a + rho for
+    some rows a of one pair, nu b's weight diagram, both in affine labels,
+    and mult its multiplicities.  A pair's rows are split where a list fills,
+    and a row wider than the budget is a list of its own.
+    """
+    r = spec.rank
+    comark = np.array(spec.comark, dtype=np.int64)
+    shifted = np.array(weights, dtype=np.int64).reshape(len(weights), r) + 1
+    shifted = np.column_stack([shifted, k + spec.dual_coxeter - shifted @ comark])
+    cap = fusion.FOLD_CHUNK_BYTES // (8 * (r + 1))  # points a list holds
+    chunk, room = [], cap
+    for b, rows in pairs:
+        diagram = lie.weight_multiplicities(spec, weights[b])
+        nu = np.array(list(diagram), dtype=np.int64).reshape(len(diagram), r)
+        nu = np.column_stack([nu, -(nu @ comark)])
+        mult = np.fromiter(diagram.values(), dtype=np.int64, count=len(nu))
+        lam = shifted[rows]
+        while len(lam):
+            take = min(len(lam), room // len(nu))
+            if not take and chunk:
+                yield chunk
+                chunk, room = [], cap
+                continue
+            take = max(take, 1)
+            chunk.append((lam[:take], nu, mult))
+            room -= take * len(nu)
+            lam = lam[take:]
+    if chunk:
+        yield chunk
 
 
 def _alcove_index(spec: LieAlgebraSpec, k: int):

@@ -794,9 +794,19 @@ class TestQuadInput:
                 assert str(exc.value) == message
 
     def test_rows_of_another_length_refused(self):
-        # read four values at a time, these would be the rows [0, 0, 0, 1] and [1, 1, 0, 1]
-        with pytest.raises(ValueError):
-            FusionRing(("0", "x"), 0, (0, 1), [[0, 0, 0, 1, 1], [1, 0, 1]])
+        cases = [
+            # read four values at a time, these would be the rows [0, 0, 0, 1] and [1, 1, 0, 1]
+            ([[0, 0, 0, 1, 1], [1, 0, 1]], "0", "[0, 0, 0, 1, 1]"),
+            ([[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1]], "2", "[1, 0, 1]"),
+            # rows that are not sequences, after a zero that the row scan would name first
+            ([[0, 0, 0, 0], 7], "1", "7"),
+            ([[0, 0, 0, 1], None, [1]], "1", "None"),
+        ]
+        for rows, i, row in cases:
+            with pytest.raises(ValueError) as exc:
+                FusionRing(("0", "x"), 0, (0, 1), rows)
+            assert str(exc.value) == (
+                f"fusion row {i} must be a sequence [a, b, c, N] of four values, got {row}")
 
     def test_dict_zero_is_no_entry(self):
         tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}

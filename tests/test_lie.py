@@ -186,6 +186,64 @@ def freudenthal_reference(spec, lam):
     return mults
 
 
+def chamber_weight_multiplicities(spec, lam):
+    """The weight diagram as lie.weight_multiplicities made it before it read
+    each Freudenthal term from the diagram built so far: every dominant
+    weight's multiplicity first, each term m(mu + j*alpha) read off the
+    dominant weight that lie._chamber reflects mu + j*alpha to, and then each
+    orbit expanded.  Kept as the oracle of the items and their order."""
+    gram, roots, finite = spec.scaled_gram, spec.roots, spec.finite
+    depth = {lam: 0}
+    stack = [lam]
+    while stack:
+        mu = stack.pop()
+        for labels, height, _, _ in roots:
+            nu = tuple(m - r for m, r in zip(mu, labels))
+            if nu not in depth and all(x >= 0 for x in nu):
+                depth[nu] = depth[mu] + height
+                stack.append(nu)
+
+    def norm_rho(mu):
+        x = [m + 1 for m in mu]
+        return sum(a * sum(g * b for g, b in zip(row, x)) for a, row in zip(x, gram))
+
+    top = norm_rho(lam)
+    dominant = {lam: 1}
+    for mu in sorted(depth, key=depth.__getitem__)[1:]:
+        num = 0
+        for labels, _, pairing, norm in roots:
+            base = sum(m * p for m, p in zip(mu, pairing))
+            nu, j = mu, 1
+            while True:
+                nu = tuple(a + b for a, b in zip(nu, labels))
+                m_up = dominant.get(lie._chamber(finite, nu)[0])
+                if m_up is None:
+                    break
+                num += (base + j * norm) * m_up
+                j += 1
+        m, rem = divmod(2 * num, top - norm_rho(mu))
+        assert rem == 0 and m > 0
+        dominant[mu] = m
+
+    diagram = []
+    for mu, m in dominant.items():
+        orbit = {mu: depth[mu]}
+        layer = [mu]
+        while layer:
+            nxt = []
+            for w in layer:
+                for i, x in enumerate(w):
+                    if x > 0:
+                        v = tuple([a - x * c for a, c in zip(w, finite[i])])
+                        if v not in orbit:
+                            orbit[v] = orbit[w] + x
+                            nxt.append(v)
+            layer = nxt
+        diagram.extend((d, w, m) for w, d in orbit.items())
+    diagram.sort()
+    return {w: m for _, w, m in diagram}
+
+
 # The two folds and the per-type tables that lie replaced, kept unchanged as
 # references for the one chamber fold and the derived symmetrizer.
 
@@ -583,6 +641,20 @@ class TestWeightMultiplicities:
         for lam in lie.alcove_weights(spec, k):
             assert (list(lie.weight_multiplicities(spec, lam).items())
                     == list(freudenthal_reference(spec, lam).items()))
+
+    # the benchmark's nine build categories, and the exceptional types
+    @pytest.mark.parametrize("family,rank,k", [
+        ("A", 3, 2), ("A", 5, 2), ("D", 4, 2), ("A", 7, 1), ("B", 4, 2), ("C", 3, 3),
+        ("A", 2, 10), ("A", 1, 40), ("A", 3, 4), ("G", 2, 8), ("F", 4, 2), ("E", 6, 2),
+        ("E", 7, 2),
+    ])
+    def test_equals_the_chamber_lookup(self, family, rank, k):
+        # same items and order as the recursion that read each term off the
+        # dominant weight of mu + j*alpha
+        spec = lie.lie_algebra(family, rank)
+        for lam in lie.alcove_weights(spec, k):
+            assert (list(lie.weight_multiplicities(spec, lam).items())
+                    == list(chamber_weight_multiplicities(spec, lam).items()))
 
     def test_requires_dominant(self):
         with pytest.raises(ValueError):

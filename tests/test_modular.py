@@ -281,17 +281,22 @@ class TestValidation:
     def test_build_refuses_a_ring_without_duals(self, monkeypatch):
         # L1 (x) L1 at A1 k=1 made L1 instead of the unit: L1 has no dual, so
         # it keeps itself and validate's duality law refuses the ring
-        fold = modular._fold_rows
+        fold, changed = modular._fold_rows, []
 
-        def no_unit(spec, k, weights, index, b, rows):
-            out = fold(spec, k, weights, index, b, rows)
-            if weights[b] == (1,):  # L1's row
-                out[list(rows).index(1)] = (0, 1)
+        def no_unit(spec, k, weights, index, pairs):
+            out = fold(spec, k, weights, index, pairs)
+            at = 0
+            for b, rows in pairs:
+                if weights[b] == (1,):  # L1's row
+                    out[at + list(rows).index(1)] = (0, 1)
+                    changed.append(b)
+                at += len(rows)
             return out
         monkeypatch.setattr(modular, "_fold_rows", no_unit)
         with pytest.raises(InconsistentDataError) as exc:
             modular.build_wzw_data(lie.lie_algebra("A", 1), 1)
         assert str(exc.value) == "fusion axioms fail: duality fails: N^unit_{1,1} = 0"
+        assert changed == [1]
 
 
 # The readers of the charge table as they were before it, each recomputing
@@ -571,11 +576,12 @@ def full_fold(spec, level):
     return tensor
 
 
-# every golden-hash category, one or more of each other type, and current
-# groups past level 2: Z2 x Z2 (D4 k=4), Z6 (A5 k=3) and Z4 (D5 k=3)
+# every golden-hash category, one or more of each other type, current groups
+# past level 2: Z2 x Z2 (D4 k=4), Z6 (A5 k=3) and Z4 (D5 k=3), and G2 at level
+# 8, with no currents: 25 orbits of one simple, whose rows fill two chunks
 FOLD_CATEGORIES = sorted({*GOLDEN_SHA256, ("D", 5, 2), ("E", 7, 2), ("A", 1, 40),
                           ("A", 2, 10), ("G", 2, 3), ("F", 4, 2), ("D", 4, 4),
-                          ("A", 5, 3), ("D", 5, 3)})
+                          ("A", 5, 3), ("D", 5, 3), ("G", 2, 8)})
 
 
 def orbit_fold(spec, level):
@@ -586,12 +592,12 @@ def orbit_fold(spec, level):
 
 
 def recorded_folds(monkeypatch):
-    """The (b, rows) of each modular._fold_rows call, in call order."""
+    """The pairs [(b, rows), ...] of each modular._fold_rows call, in call order."""
     calls, fold = [], modular._fold_rows
 
-    def recorded(spec, k, weights, index, b, rows):
-        calls.append((b, list(rows)))
-        return fold(spec, k, weights, index, b, rows)
+    def recorded(spec, k, weights, index, pairs):
+        calls.append([(b, list(rows)) for b, rows in pairs])
+        return fold(spec, k, weights, index, pairs)
     monkeypatch.setattr(modular, "_fold_rows", recorded)
     return calls
 
@@ -618,15 +624,18 @@ class TestOrbitFold:
             assert sorted(group) == sorted(perms.values())
 
     def test_fold_count_of_a2_level_10(self, monkeypatch):
-        # the row of 10 L1, then one row per orbit of Z3, each against every a
-        # not yet done: of the 66^2 entries T[a, b], 824 are folded and the
-        # rest filled by the column action and the swap
+        # the row of 10 L1, then one pass over a row per orbit of Z3, each
+        # against every a not yet done: 23 diagrams, and of the 66^2 entries
+        # T[a, b], 824 are folded and the rest filled by the column action and
+        # the swap
         spec = lie.lie_algebra("A", 2)
         calls = recorded_folds(monkeypatch)
         table, group = orbit_fold(spec, 10)
         assert table.shape == (66,) * 3 and len(group) == 3
-        assert len(calls) == 23 == len({b for b, _ in calls})
-        assert sum(len(rows) for _, rows in calls) == 824
+        assert [len(pairs) for pairs in calls] == [1, 22]
+        diagrams = [b for pairs in calls for b, _ in pairs]
+        assert len(diagrams) == 23 == len(set(diagrams))
+        assert sum(len(rows) for pairs in calls for _, rows in pairs) == 824
 
     def test_rejected_candidates_fold_once(self, monkeypatch):
         # every comark of C3 is 1, but of 3 L1, 3 L2 and 3 L3 at level 3 only
@@ -638,8 +647,11 @@ class TestOrbitFold:
         table, group = orbit_fold(spec, level)
         assert spec.comark == (1, 1, 1) and len(group) == 2
         candidates = [weights.index(w) for w in [(3, 0, 0), (0, 3, 0), (0, 0, 3)]]
-        assert calls[:3] == [(g, list(range(len(weights)))) for g in candidates]
-        assert len(calls) == len({b for b, _ in calls})  # each diagram folded once
+        assert calls[:3] == [[(g, list(range(len(weights))))] for g in candidates]
+        assert len(calls) == 4  # the three candidates, then the one orbit pass
+        diagrams = [b for pairs in calls for b, _ in pairs]
+        assert len(diagrams) == len(set(diagrams))  # each diagram folded once
+        assert not set(candidates) & {a for _, rows in calls[3] for a in rows}
         for g in candidates[:2]:
             for x, w in enumerate(weights):
                 row = {weights[c]: m for c, m in enumerate(table[g, x].tolist()) if m}
@@ -647,20 +659,42 @@ class TestOrbitFold:
                 assert (table[x, g] == table[g, x]).all()
 
     def test_negative_sum_refused(self, monkeypatch):
-        # a diagram of the one weight -3 L1 folds into L1 with sign -1 at A1 k=2
+        # a diagram of the one weight -3 L1 folds the unit into L1 and L1 into
+        # the unit, each with sign -1 at A1 k=2; the unit's own diagram is
+        # kept, so the first pair's rows are positive.  The first negative row
+        # in fold order is named, whether each row is a chunk or all are one.
         spec = lie.lie_algebra("A", 1)
         weights = lie.alcove_weights(spec, 2)
-        monkeypatch.setattr(lie, "weight_multiplicities", lambda spec, lam: {(-3,): 1})
-        with pytest.raises(ArithmeticError) as exc:
-            modular._fold_rows(spec, 2, weights, modular._alcove_index(spec, 2), 1, [0])
-        assert str(exc.value) == "negative fusion multiplicity at {(1,): -1}"
+        monkeypatch.setattr(lie, "weight_multiplicities",
+                            lambda spec, lam: {(0,): 1} if lam == (0,) else {(-3,): 1})
+        index = modular._alcove_index(spec, 2)
+        for budget in (1, fusion.FOLD_CHUNK_BYTES):
+            monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", budget)
+            assert modular._fold_rows(spec, 2, weights, index, [(0, [0, 2])]).tolist() == [
+                [1, 0, 0], [0, 0, 1]]
+            for pairs, named in [([(0, [0, 2]), (1, [0]), (2, [1])], "{(1,): -1}"),
+                                 ([(0, [0, 2]), (2, [1]), (1, [0])], "{(0,): -1}")]:
+                with pytest.raises(ArithmeticError) as exc:
+                    modular._fold_rows(spec, 2, weights, index, pairs)
+                assert str(exc.value) == f"negative fusion multiplicity at {named}"
 
     @pytest.mark.parametrize("family,rank,level", [("C", 3, 3), ("A", 2, 10), ("D", 4, 2)])
     def test_chunked_fold_equals_the_unchunked(self, monkeypatch, family, rank, level):
         spec = lie.lie_algebra(family, rank)
+        weights = lie.alcove_weights(spec, level)
+        calls = recorded_folds(monkeypatch)
         whole, group = orbit_fold(spec, level)
-        for budget in (1, 2 ** 12):  # one row a chunk, then chunks of a few rows
+        pairs = [(b, np.array(rows)) for b, rows in calls[-1]]
+        assert len(list(modular._chunks(spec, level, weights, pairs))) == 1
+        # one row a chunk, then chunks of a few rows, in which the rows of one
+        # diagram are split across chunks and a chunk holds rows of several
+        for budget in (1, 2 ** 11, 2 ** 12):
             monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", budget)
+            if budget > 1:
+                chunks = list(modular._chunks(spec, level, weights, pairs))
+                assert any(len({id(nu) for _, nu, _ in chunk}) > 1 for chunk in chunks)
+                seen = [{id(nu) for _, nu, _ in chunk} for chunk in chunks]
+                assert any(seen[i] & seen[i + 1] for i in range(len(seen) - 1))
             table, chunked_group = orbit_fold(spec, level)
             assert (table == whole).all() and chunked_group == group
 
@@ -700,7 +734,9 @@ class TestDiagramsMade:
                       for j in range(rank) if spec.comark[j] == 1}
         calls = recorded_folds(monkeypatch)
         _, group = orbit_fold(spec, level)
-        rows = [(b, a) for b, a in calls if b not in candidates]
+        *candidate_calls, rows = calls
+        assert all(len(pairs) == 1 and pairs[0][0] in candidates for pairs in candidate_calls)
+        assert rows and not {b for b, _ in rows} & candidates
         assert [b for b, _ in rows] == sorted({b for b, _ in rows}, key=lambda x: (dims[x], x))
         assert len({min(perm[b] for perm in group) for b, _ in rows}) == len(rows)
         for b, a in rows:
