@@ -32,12 +32,13 @@ import numpy as np
 #: under a second.
 MAX_SIMPLES = 400
 
-#: Largest int64 array of shifted points in one chunk of a build's Kac-Walton
-#: fold (modular._fold_rows).  Every row of the orbit pass is folded in one
-#: pass of such chunks: a chunk holds the rows of several weight diagrams or
-#: some rows of one, and a row wider than the budget is a chunk of its own (C3
-#: at level 7 folds the 18,810 weights of 7 L2, 602 KB of points, a row at a
-#: time, not in one 72 MB array).  The reflection loop's temporaries are a
+#: Largest int64 array of shifted points, and of fusion table rows, in one
+#: chunk of a build's Kac-Walton fold (modular._chunks).  Every row of the
+#: orbit pass is folded in one pass of such chunks, each written into the
+#: table before the next is made: a chunk holds the rows of several weight
+#: diagrams or some rows of one, and a row wider than the budget is a chunk of
+#: its own (C3 at level 7 folds the 18,810 weights of 7 L2, 602 KB of points,
+#: a row at a time, not in one 72 MB array).  The fold's temporaries are a
 #: small multiple of a chunk, so at 256 KB they stay in a core's L2 cache: on
 #: a 2-core Xeon with 2 MB of L2 a core, 4 MB chunks made the fold of A2 at
 #: level 25, C3 at level 7 and G2 at level 15 19-45% slower.

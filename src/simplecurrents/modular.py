@@ -13,8 +13,9 @@ data, built or loaded, and fills that table.
 
 ``build_wzw_data`` makes the level-k fusion table by the Kac-Walton fold:
 one row of pairs per orbit of the simple currents, every row folded in one
-pass of chunked int64 arrays and written into an (n, n, n) table by the
-currents' column action, one scatter per current; the ring copies the table.
+pass of chunked int64 arrays, each chunk written into an (n, n, n) table by
+the currents' column action as soon as it is folded, one scatter per current;
+the ring copies the table.
 The pair fold of ``lie.fusion_coefficients`` is its oracle in the tests.
 """
 
@@ -240,15 +241,17 @@ def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight], dims: list[
     member of b's orbit is then done.  So each orbit is paired once, by its
     first member in that order, with every orbit that comes after it: the
     smaller diagram of each pair, up to the orbit.  All those pairs are folded
-    in one _fold_rows pass, and each row fills the columns of b's orbit by the
-    column action and the swap, T[a, Kb, Kc] = T[Kb, a, Kc] = N_{ab}^c, in one
-    scatter per K in G (J. Fuchs, Simple WZW currents, Commun. Math. Phys.
-    136, 1991).  validate checks the table.
+    in one _fold_rows pass, and as soon as a chunk is folded its rows fill the
+    columns of b's orbit by the column action and the swap, T[a, Kb, Kc] =
+    T[Kb, a, Kc] = N_{ab}^c, in one scatter per K in G, so that what the fold
+    holds at once stays within the chunk budget (J. Fuchs, Simple WZW
+    currents, Commun. Math. Phys. 136, 1991).  validate checks the table.
     """
     n = len(weights)
     index = _alcove_index(spec, k)
     unit = weights.index((0,) * spec.rank)
     table = np.zeros((n, n, n), dtype=np.int64)
+    flat = table.reshape(-1)
     done = np.zeros(n, dtype=bool)
     generators = [tuple(range(n))]
     group = generators
@@ -258,8 +261,9 @@ def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight], dims: list[
         g = weights.index(tuple(k * (i == j) for i in range(spec.rank)))
         if any(perm[unit] == g for perm in group):
             continue
-        row = _fold_rows(spec, k, weights, index, [(g, np.arange(n))])  # [x, c] = N^c_{x g}
-        table[g] = table[:, g] = row
+        for a, b, prod in _fold_rows(spec, k, weights, index, [(g, np.arange(n))]):
+            table[a, b] = table[b, a] = prod
+        row = table[g]  # [x, c] = N^c_{g x}
         done[g] = True
         if (row.sum(axis=0) == 1).all() and (row.sum(axis=1) == 1).all():
             generators.append(tuple(row.argmax(axis=1).tolist()))
@@ -270,48 +274,48 @@ def _orbit_fold(spec: LieAlgebraSpec, k: int, weights: list[Weight], dims: list[
         if not done[b]:
             pairs.append((b, np.flatnonzero(~done)))
             done[perms[:, b]] = True
-    prod = _fold_rows(spec, k, weights, index, pairs)
-    a = np.concatenate([rows for _, rows in pairs])
-    b = np.repeat([b for b, _ in pairs], [len(rows) for _, rows in pairs])
-    table[a, b] = table[b, a] = prod  # group[0], the identity, moves whole rows
-    flat, a = table.reshape(-1), a[:, None]
-    for K in perms[1:]:
-        flat[(a * n + K[b, None]) * n + K] = flat[(K[b, None] * n + a) * n + K] = prod
+    for a, b, prod in _fold_rows(spec, k, weights, index, pairs):
+        table[a, b] = table[b, a] = prod  # group[0], the identity, moves whole rows
+        a, b = a[:, None], b[:, None]
+        for K in perms[1:]:
+            flat[(a * n + K[b]) * n + K] = flat[(K[b] * n + a) * n + K] = prod
     return table, group
 
 
 def _fold_rows(spec: LieAlgebraSpec, k: int, weights: list[Weight], index, pairs):
-    """N^c_{ab} over every c for each a of each (b, rows) in ``pairs``, as one
-    int64 array (sum of len(rows), n) of the rows in that order (Kac-Walton, as
-    lie.fusion_with_second_diagram, in arrays): each point lambda_a + rho +
-    nu, for nu in b's weight diagram, in affine labels, is reflected in each
-    negative label in turn, label by label, its sign flipped each time, until
-    none is left; a point left with a zero label cancels, and the rest are
-    summed at their alcove weight.  Any order of reflections in negative
-    labels ends at the same alcove point, and a point off the walls is taken
-    there by one affine Weyl element only, so the sign is that of
+    """N^c_{ab} over every c for each a of each (b, rows) in ``pairs``, a chunk
+    at a time (_chunks): for each chunk, (a, b, prod), where a and b are int64
+    arrays of its rows' a and b in that order and prod[i, c] = N^c_{a_i b_i}
+    (Kac-Walton, as lie.fusion_with_second_diagram, in arrays).  Each point
+    lambda_a + rho + nu, for nu in b's weight diagram, in affine labels, is
+    reflected in each negative label in turn, label by label, its sign flipped
+    each time, until none is left; a point left with a zero label cancels, and
+    the rest are summed at their alcove weight.  Any order of reflections in
+    negative labels ends at the same alcove point, and a point off the walls
+    is taken there by one affine Weyl element only, so the sign is that of
     lie._chamber, which takes the first negative label each time.  The points
-    are made by broadcasting each diagram over its rows, in chunks (_chunks),
-    a point a column, so that each test over a point's labels runs along
-    whole rows; each chunk has one reflection loop and one sum.
-    ArithmeticError on a negative sum, naming the first such row in that
-    order.  index maps labels to alcove positions (_alcove_index).
+    are made by broadcasting each diagram over its rows, a point a column, so
+    that each test over a point's labels runs along whole rows; each chunk
+    has one reflection loop and one sum.  ArithmeticError on a negative sum,
+    naming the first such row in the order of ``pairs``, before its chunk is
+    yielded.  index maps labels to alcove positions (_alcove_index).
     """
     n, r = len(weights), spec.rank
+    comark = np.array(spec.comark, dtype=np.int64)
     columns = np.array(spec.extended, dtype=np.int64)[:, :, None]
-    out = np.empty((sum(len(rows) for _, rows in pairs), n), dtype=np.int64)
-    top = 0
-    for chunk in _chunks(spec, k, weights, pairs):
-        size = [len(nu) for _, nu, _ in chunk]
-        count = [len(lam) for lam, _, _ in chunk]
+    shifted = np.array(weights, dtype=np.int64).reshape(n, r) + 1
+    shifted = np.column_stack([shifted, k + spec.dual_coxeter - shifted @ comark])
+    for chunk in _chunks(spec, weights, pairs):
+        size = [len(nu) for _, _, nu, _ in chunk]
+        count = [len(a) for _, a, _, _ in chunk]
         point = np.empty((r + 1, np.dot(size, count)), dtype=np.int64)  # a point a column
         sign = np.empty(point.shape[1], dtype=np.int64)
         at = 0
-        for lam, nu, mult in chunk:
-            end = at + len(lam) * len(nu)
-            np.add(lam.T[:, :, None], nu.T[:, None, :],
-                   out=point[:, at:end].reshape(r + 1, len(lam), len(nu)))
-            sign[at:end].reshape(len(lam), len(nu))[:] = mult
+        for _, a, nu, mult in chunk:
+            end = at + len(a) * len(nu)
+            np.add(shifted[a].T[:, :, None], nu.T[:, None, :],
+                   out=point[:, at:end].reshape(r + 1, len(a), len(nu)))
+            sign[at:end].reshape(len(a), len(nu))[:] = mult
             at = end
         live = np.flatnonzero((point < 0).any(axis=0))
         while live.size:
@@ -328,44 +332,43 @@ def _fold_rows(spec: LieAlgebraSpec, k: int, weights: list[Weight], index, pairs
         cell = owner[keep] * n + index(point[:r, keep].T - 1)
         # each cell sums at most dim(b) <= MAX_DIAGRAM_WEIGHTS < 2^53 in absolute
         # value, so bincount's float64 sums are exact
-        sums = np.bincount(cell, weights=sign[keep], minlength=rows * n)
-        out[top:top + rows] = sums.reshape(rows, n)
-        top += rows
-    for row in out[(out < 0).any(axis=1)][:1]:
-        bad = {weights[c]: int(row[c]) for c in np.flatnonzero(row < 0)}
-        raise ArithmeticError(f"negative fusion multiplicity at {bad}")
-    return out
+        prod = np.bincount(cell, weights=sign[keep], minlength=rows * n)
+        prod = prod.astype(np.int64).reshape(rows, n)
+        for row in prod[(prod < 0).any(axis=1)][:1]:
+            bad = {weights[c]: int(row[c]) for c in np.flatnonzero(row < 0)}
+            raise ArithmeticError(f"negative fusion multiplicity at {bad}")
+        b = np.repeat([b for b, _, _, _ in chunk], count)
+        yield np.concatenate([a for _, a, _, _ in chunk]), b, prod
 
 
-def _chunks(spec: LieAlgebraSpec, k: int, weights: list[Weight], pairs):
-    """The pieces (lam, nu, mult) of _fold_rows's points, in lists of at most
-    fusion.FOLD_CHUNK_BYTES of int64 points: lam holds lambda_a + rho for
-    some rows a of one pair, nu b's weight diagram, both in affine labels,
-    and mult its multiplicities.  A pair's rows are split where a list fills,
-    and a row wider than the budget is a list of its own.
+def _chunks(spec: LieAlgebraSpec, weights: list[Weight], pairs):
+    """The pieces (b, a, nu, mult) of _fold_rows's points, in lists of at most
+    fusion.FOLD_CHUNK_BYTES of int64 points, r + 1 words each, and as many of
+    rows of the table, n words each: a holds some rows of b's pair, nu b's
+    weight diagram in affine labels and mult its multiplicities.  A list is
+    closed when the next row does not fit, so a pair's rows are split where a
+    list fills, and a row wider than the budget is a list of its own.
     """
-    r = spec.rank
+    n, r = len(weights), spec.rank
     comark = np.array(spec.comark, dtype=np.int64)
-    shifted = np.array(weights, dtype=np.int64).reshape(len(weights), r) + 1
-    shifted = np.column_stack([shifted, k + spec.dual_coxeter - shifted @ comark])
-    cap = fusion.FOLD_CHUNK_BYTES // (8 * (r + 1))  # points a list holds
-    chunk, room = [], cap
+    cap = fusion.FOLD_CHUNK_BYTES // 8  # int64 words of points, and of rows, a list holds
+    chunk, room, slots = [], cap, cap
     for b, rows in pairs:
         diagram = lie.weight_multiplicities(spec, weights[b])
         nu = np.array(list(diagram), dtype=np.int64).reshape(len(diagram), r)
         nu = np.column_stack([nu, -(nu @ comark)])
         mult = np.fromiter(diagram.values(), dtype=np.int64, count=len(nu))
-        lam = shifted[rows]
-        while len(lam):
-            take = min(len(lam), room // len(nu))
-            if not take and chunk:
+        width = (r + 1) * len(nu)  # the words of one row's points
+        rows = np.asarray(rows, dtype=np.int64)
+        while len(rows):
+            if (room < width or slots < n) and chunk:
                 yield chunk
-                chunk, room = [], cap
-                continue
-            take = max(take, 1)
-            chunk.append((lam[:take], nu, mult))
-            room -= take * len(nu)
-            lam = lam[take:]
+                chunk, room, slots = [], cap, cap
+            take = max(1, min(len(rows), room // width, slots // n))
+            chunk.append((b, rows[:take], nu, mult))
+            room -= take * width
+            slots -= take * n
+            rows = rows[take:]
     if chunk:
         yield chunk
 

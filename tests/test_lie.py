@@ -633,7 +633,8 @@ class TestWeightMultiplicities:
 
     @pytest.mark.parametrize("family,rank,k", [
         ("A", 3, 2), ("D", 4, 2), ("B", 4, 2), ("C", 3, 3), ("G", 2, 3),
-        ("F", 4, 1), ("E", 6, 1),
+        ("F", 4, 1), ("E", 6, 1), ("A", 2, 10), ("A", 1, 40), ("A", 3, 4),
+        ("G", 2, 8), ("F", 4, 2),
     ])
     def test_equals_full_freudenthal_reference(self, family, rank, k):
         # same weights, multiplicities and order as the recursion over every weight
@@ -642,11 +643,11 @@ class TestWeightMultiplicities:
             assert (list(lie.weight_multiplicities(spec, lam).items())
                     == list(freudenthal_reference(spec, lam).items()))
 
-    # the benchmark's nine build categories, and the exceptional types
+    # the rest of the benchmark's nine build categories and E6, E7 at level 2,
+    # where the reference in Fractions takes 1.5 to 32 s a category and the
+    # integer recursion over dominant weights well under 0.1 s
     @pytest.mark.parametrize("family,rank,k", [
-        ("A", 3, 2), ("A", 5, 2), ("D", 4, 2), ("A", 7, 1), ("B", 4, 2), ("C", 3, 3),
-        ("A", 2, 10), ("A", 1, 40), ("A", 3, 4), ("G", 2, 8), ("F", 4, 2), ("E", 6, 2),
-        ("E", 7, 2),
+        ("A", 5, 2), ("A", 7, 1), ("E", 6, 2), ("E", 7, 2),
     ])
     def test_equals_the_chamber_lookup(self, family, rank, k):
         # same items and order as the recursion that read each term off the

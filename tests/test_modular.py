@@ -284,14 +284,11 @@ class TestValidation:
         fold, changed = modular._fold_rows, []
 
         def no_unit(spec, k, weights, index, pairs):
-            out = fold(spec, k, weights, index, pairs)
-            at = 0
-            for b, rows in pairs:
-                if weights[b] == (1,):  # L1's row
-                    out[at + list(rows).index(1)] = (0, 1)
-                    changed.append(b)
-                at += len(rows)
-            return out
+            for a, b, prod in fold(spec, k, weights, index, pairs):
+                for i in np.flatnonzero((a == 1) & (b == 1)):  # L1 (x) L1
+                    prod[i] = (0, 1)
+                    changed.append(int(b[i]))
+                yield a, b, prod
         monkeypatch.setattr(modular, "_fold_rows", no_unit)
         with pytest.raises(InconsistentDataError) as exc:
             modular.build_wzw_data(lie.lie_algebra("A", 1), 1)
@@ -668,33 +665,52 @@ class TestOrbitFold:
         monkeypatch.setattr(lie, "weight_multiplicities",
                             lambda spec, lam: {(0,): 1} if lam == (0,) else {(-3,): 1})
         index = modular._alcove_index(spec, 2)
-        for budget in (1, fusion.FOLD_CHUNK_BYTES):
+        for budget, chunks in [(1, 2), (fusion.FOLD_CHUNK_BYTES, 1)]:
             monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", budget)
-            assert modular._fold_rows(spec, 2, weights, index, [(0, [0, 2])]).tolist() == [
-                [1, 0, 0], [0, 0, 1]]
+            folded = list(modular._fold_rows(spec, 2, weights, index, [(0, [0, 2])]))
+            assert len(folded) == chunks
+            a, b, prod = (np.concatenate(part).tolist() for part in zip(*folded))
+            assert (a, b, prod) == ([0, 2], [0, 0], [[1, 0, 0], [0, 0, 1]])
             for pairs, named in [([(0, [0, 2]), (1, [0]), (2, [1])], "{(1,): -1}"),
                                  ([(0, [0, 2]), (2, [1]), (1, [0])], "{(0,): -1}")]:
                 with pytest.raises(ArithmeticError) as exc:
-                    modular._fold_rows(spec, 2, weights, index, pairs)
+                    list(modular._fold_rows(spec, 2, weights, index, pairs))
                 assert str(exc.value) == f"negative fusion multiplicity at {named}"
 
     @pytest.mark.parametrize("family,rank,level", [("C", 3, 3), ("A", 2, 10), ("D", 4, 2)])
     def test_chunked_fold_equals_the_unchunked(self, monkeypatch, family, rank, level):
         spec = lie.lie_algebra(family, rank)
         weights = lie.alcove_weights(spec, level)
+        n, default = len(weights), fusion.FOLD_CHUNK_BYTES
+        monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", 2 ** 40)
         calls = recorded_folds(monkeypatch)
         whole, group = orbit_fold(spec, level)
         pairs = [(b, np.array(rows)) for b, rows in calls[-1]]
-        assert len(list(modular._chunks(spec, level, weights, pairs))) == 1
-        # one row a chunk, then chunks of a few rows, in which the rows of one
-        # diagram are split across chunks and a chunk holds rows of several
-        for budget in (1, 2 ** 11, 2 ** 12):
+        assert len(list(modular._chunks(spec, weights, pairs))) == 1
+        # one row a chunk; then chunks of a few rows, in which the rows of one
+        # diagram are split across chunks, a chunk holds rows of several, and
+        # (C3 k=3 at 2^11: 64 points) a row wider than the budget is a chunk
+        # of its own; then the default budget
+        for budget in (1, 2 ** 11, 2 ** 12, default):
             monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", budget)
-            if budget > 1:
-                chunks = list(modular._chunks(spec, level, weights, pairs))
-                assert any(len({id(nu) for _, nu, _ in chunk}) > 1 for chunk in chunks)
-                seen = [{id(nu) for _, nu, _ in chunk} for chunk in chunks]
+            chunks = list(modular._chunks(spec, weights, pairs))
+            # every row of every pair, once and in order
+            assert [(b, a) for chunk in chunks for b, rows, _, _ in chunk for a in rows] == [
+                (b, a) for b, rows in pairs for a in rows]
+            wide = 0
+            for chunk in chunks:
+                count = sum(len(a) for _, a, _, _ in chunk)
+                points = sum(len(a) * len(nu) for _, a, nu, _ in chunk)
+                assert count == 1 or max((rank + 1) * points, count * n) <= budget // 8
+                wide += (rank + 1) * points > budget // 8
+            if budget == 1:
+                assert len(chunks) == sum(len(rows) for _, rows in pairs)
+            if budget in (2 ** 11, 2 ** 12):
+                assert any(len({b for b, _, _, _ in chunk}) > 1 for chunk in chunks)
+                seen = [{b for b, _, _, _ in chunk} for chunk in chunks]
                 assert any(seen[i] & seen[i + 1] for i in range(len(seen) - 1))
+            if (family, budget) == ("C", 2 ** 11):
+                assert 0 < wide < len(chunks)
             table, chunked_group = orbit_fold(spec, level)
             assert (table == whole).all() and chunked_group == group
 
