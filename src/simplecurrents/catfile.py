@@ -26,14 +26,15 @@ a value is past int64.
 
 One serializer, ``_canonical_chunks``, gives exactly the bytes of
 ``json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False)`` + "\\n".
-It writes the fusion quads, nearly all of a file, from an (m, 4) int64 array,
+It writes the fusion quads, nearly all of a file, from (m, 4) int64 arrays,
 a few thousand quads at a time: each distinct value of a chunk is made into
 decimal text once, and the chunk's text is the non-NUL bytes of a cell array
 of those words between fixed separators.  ``save_category`` streams these
-bytes from the ring's table into the file, which it opens only once every
-check has passed; ``dumps_canonical`` joins them into a str, and also takes a
-list of lists of four Python ints, each within int64, behind a gate that
-names the first entry that is not.
+bytes into the file, which it opens only once every check has passed, taking
+the quads from slabs of a few rows of the ring's table at a time, so it holds
+no array of every quad; ``dumps_canonical`` joins them into a str, and takes
+an (m, 4) int64 array or a list of lists of four Python ints, each within
+int64, behind a gate that names the first entry that is not.
 """
 
 from __future__ import annotations
@@ -58,18 +59,34 @@ class CategoryFileError(ValueError):
     """A category file failed to parse or validate."""
 
 
+class _TableQuads:
+    """The nonzero entries [a, b, c, N] of a ring's (n, n, n) int64 table,
+    sorted by (a, b, c), as the (m, 4) int64 blocks of slabs of
+    fusion.slab_width(n) values of a at a time."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def __iter__(self):
+        t = self.table
+        n = len(t)
+        width = fusion.slab_width(n)
+        for a0 in range(0, n, width):
+            slab = t[a0:a0 + width]
+            at = np.flatnonzero(slab)
+            a, b, c = np.unravel_index(at, slab.shape)
+            yield np.column_stack([a + a0, b, c, slab.reshape(-1)[at]])
+
+
 def _table_payload(data: ModularCategoryData, source) -> dict:
-    """The payload of ``data``, its "fusion" the (m, 4) int64 array of the
-    table's nonzero entries [a, b, c, N], sorted by (a, b, c)."""
+    """The payload of ``data``, its "fusion" the ring's table as _TableQuads."""
     ring = data.ring
-    t = ring.table
-    at = np.flatnonzero(t)
     return {
         "schema_version": SCHEMA_VERSION,
         "source": source,
         "simples": list(ring.simples),
         "dual": list(ring.dual),
-        "fusion": np.column_stack([*np.unravel_index(at, t.shape), t.reshape(-1)[at]]),
+        "fusion": _TableQuads(ring.table),
         "twists": [list(t.pair) for t in data.twist],
         "qdims": list(data.qdim),
     }
@@ -79,7 +96,7 @@ def category_to_payload(data: ModularCategoryData, source) -> dict:
     """The payload of ``data`` as json.dumps takes it: "fusion" is a list of
     [a, b, c, N] lists of Python ints."""
     payload = _table_payload(data, source)
-    return {**payload, "fusion": payload["fusion"].tolist()}
+    return {**payload, "fusion": [q for block in payload["fusion"] for q in block.tolist()]}
 
 
 def _int_rows(rows, length: int) -> bool:
@@ -95,22 +112,25 @@ def _as_array(quads: list) -> np.ndarray:
     return np.fromiter(chain.from_iterable(quads), np.int64, 4 * len(quads)).reshape(-1, 4)
 
 
-def _quad_array(quads) -> np.ndarray:
-    """payload["fusion"] as an (m, 4) int64 array: either that array itself or
-    a list of lists of four Python ints within int64; else ValueError naming
-    the first entry that is not."""
+def _quad_blocks(quads):
+    """payload["fusion"] as an iterable of (m, 4) int64 arrays: _TableQuads,
+    an (m, 4) int64 array or a list of lists of four Python ints within int64;
+    else ValueError naming the array's dtype and shape or the first entry
+    that is not."""
+    if isinstance(quads, _TableQuads):
+        return quads
     if isinstance(quads, np.ndarray):
         if quads.dtype != np.int64 or quads.ndim != 2 or quads.shape[1] != 4:
             raise ValueError(f"fusion array must be int64 of shape (m, 4), "
                              f"got {quads.dtype} of shape {quads.shape}")
-        return quads
+        return [quads]
     if not _int_rows(quads, 4):
         if type(quads) is not list:
             raise ValueError(f"fusion must be a list, got {quads!r}")
         i = next(i for i, q in enumerate(quads) if not _int_rows([q], 4))
         raise ValueError(f"fusion[{i}] must be a list of four ints, got {quads[i]!r}")
     try:
-        return _as_array(quads)
+        return [_as_array(quads)]
     except OverflowError:
         i = next(i for i, q in enumerate(quads)
                  if not all(-2 ** 63 <= x < 2 ** 63 for x in q))
@@ -124,14 +144,31 @@ _CHUNK = 4096
 _SEPARATORS = (b"  [\n   ", b",\n   ", b",\n   ", b",\n   ", b"\n  ],\n")
 
 
-def _quad_text(quads: np.ndarray):
-    """Yield the UTF-8 text of the quads, ``_CHUNK`` quads at a time.  Each
-    distinct value of a chunk is written once, by str(int) as json.dumps
-    writes it, into a zero-padded (m, 9) cell array between the separators;
-    its bytes without the NULs are the text, since no word or separator holds
-    a NUL."""
-    for start in range(0, len(quads), _CHUNK):
-        chunk = quads[start:start + _CHUNK]
+def _chunked(blocks):
+    """The rows of ``blocks``, (m, 4) int64 arrays, in arrays of ``_CHUNK``
+    rows, the last one shorter; a chunk is copied only when it spans blocks."""
+    rest = np.empty((0, 4), dtype=np.int64)
+    for block in blocks:
+        if len(rest):
+            block = np.concatenate([rest, block])
+        end = len(block) - len(block) % _CHUNK
+        yield from (block[i:i + _CHUNK] for i in range(0, end, _CHUNK))
+        rest = block[end:]
+    if len(rest):
+        yield rest
+
+
+def _quad_text(blocks):
+    """Yield the UTF-8 text of the quads of ``blocks``, ``_CHUNK`` quads at a
+    time.  Each distinct value of a chunk is written once, by str(int) as
+    json.dumps writes it, into a zero-padded (m, 9) cell array between the
+    separators; its bytes without the NULs are the text, since no word or
+    separator holds a NUL.  Each text is yielded once the next is made, so
+    the last one drops its final ",\\n"."""
+    text = None
+    for chunk in _chunked(blocks):
+        if text is not None:
+            yield text
         lo, hi = int(chunk.min()), int(chunk.max())
         if hi - lo < chunk.size:  # dense, as in every built file: no sort
             values, inverse = range(lo, hi + 1), chunk - lo
@@ -144,21 +181,24 @@ def _quad_text(quads: np.ndarray):
         # numpy 1.x and 2.x shape the inverse differently
         cells[:, 1::2] = words[inverse.reshape(chunk.shape)]
         text = cells.tobytes().translate(None, b"\0")
-        yield text if start + _CHUNK < len(quads) else text[:-2]
+    if text is not None:
+        yield text[:-2]
 
 
 def _canonical_chunks(payload: dict):
-    """Check ``payload["fusion"]`` (see ``_quad_array``), then return an
+    """Check ``payload["fusion"]`` (see ``_quad_blocks``), then return an
     iterator over the UTF-8 bytes of its canonical text: json.dumps(payload,
-    sort_keys=True, indent=1, ensure_ascii=False) + "\\n"."""
-    quads = _quad_array(payload["fusion"])
+    sort_keys=True, indent=1, ensure_ascii=False) + "\\n", with the quads of
+    _TableQuads in place of the list they stand for."""
+    quads = _quad_text(_quad_blocks(payload["fusion"]))
     text = json.dumps({**payload, "fusion": []}, sort_keys=True, indent=1,
                       ensure_ascii=False)
-    if not len(quads):
+    first = next(quads, None)
+    if first is None:
         return iter([f"{text}\n".encode()])
     # only top-level keys start a line with one space and a quote
     head, _, tail = text.partition('\n "fusion": []')
-    return chain([f'{head}\n "fusion": [\n'.encode()], _quad_text(quads),
+    return chain([f'{head}\n "fusion": [\n'.encode(), first], quads,
                  [f"\n ]{tail}\n".encode()])
 
 
@@ -276,7 +316,8 @@ def payload_to_category(payload: dict) -> tuple[ModularCategoryData, object]:
 
 
 def save_category(path, data: ModularCategoryData, source) -> None:
-    """Write the canonical file of ``data``, streamed from its fusion table.
+    """Write the canonical file of ``data``, streamed from slabs of its fusion
+    table (_TableQuads).
     The file is opened only once the payload has passed its checks, so a
     refused payload leaves an existing file untouched; a failure while the
     chunks are written (MemoryError, KeyboardInterrupt, a full disk) can

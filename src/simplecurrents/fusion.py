@@ -6,10 +6,12 @@ arithmetic is exact.  Associativity is checked for the simples of a
 generating set only, whose products span the ring: the left nucleus, the a
 with (ab)c = a(bc) for all b and c, is closed under products (the Teichmüller
 identity; R. D. Schafer, An Introduction to Nonassociative Algebras, 1966,
-ch. II).  Each simple takes two float64 matrix products in a few n^3 arrays,
-exact while n * max(N)^2 < 2^53, which is checked first.  A ring may have at
-most MAX_SIMPLES simples, so that the table and the check fit in memory;
-larger inputs are refused with TooLargeError before any work.
+ch. II).  Each simple takes two float64 matrix products, exact while
+n * max(N)^2 < 2^53, which is checked first.  The table is the one n^3 array:
+the check, the invertible permutations and a saved file's quads read it in
+slabs of at most CHUNK_BYTES.  A ring may have at most MAX_SIMPLES simples,
+so that the table fits in memory; larger inputs are refused with
+TooLargeError before any work.
 """
 
 from __future__ import annotations
@@ -24,25 +26,29 @@ from types import MappingProxyType
 import numpy as np
 
 
-#: Largest simple count of a ring.  The table and the associativity check hold
-#: about four n^3 arrays of 8-byte numbers (the int64 table, its float64 copy
-#: and two products): 32 n^3 bytes, 2.05 GB at n = 400, under a third of a
-#: 7 GB machine.  Each simple of the generating set costs 2 n^4 flops, so A3
-#: at level 8 (165 simples, about 150 MB, two generators) is checked in well
-#: under a second.
+#: Largest simple count of a ring.  The int64 table is the one n^3 array a
+#: ring, its build and its load hold: 8 n^3 bytes, 512 MB at n = 400, and each
+#: pass over it (the associativity check, the invertible permutations, a
+#: saved file's quads, the fold) adds a few slabs of at most CHUNK_BYTES.
+#: Each simple of the generating set costs 2 n^4 flops, so A3 at level 8 (165
+#: simples, two generators) is checked in well under a second.
 MAX_SIMPLES = 400
 
-#: Largest int64 array of shifted points, and of fusion table rows, in one
-#: chunk of a build's Kac-Walton fold (modular._chunks).  Every row of the
-#: orbit pass is folded in one pass of such chunks, each written into the
-#: table before the next is made: a chunk holds the rows of several weight
+#: The byte budget of every chunked pass.  The associativity check converts
+#: the table to float64 a slab of c columns at a time, t[:, c0:c1, :], and
+#: the invertible permutations and a saved file's quads read it a few rows
+#: of a at a time, each slab at most this many bytes of the table (one column
+#: or one row when that alone is larger).  A build's Kac-Walton fold
+#: (modular._chunks) holds at most this many bytes of int64 shifted points,
+#: and of table rows, in one chunk: a chunk holds the rows of several weight
 #: diagrams or some rows of one, and a row wider than the budget is a chunk of
 #: its own (C3 at level 7 folds the 18,810 weights of 7 L2, 602 KB of points,
-#: a row at a time, not in one 72 MB array).  The fold's temporaries are a
-#: small multiple of a chunk, so at 256 KB they stay in a core's L2 cache: on
-#: a 2-core Xeon with 2 MB of L2 a core, 4 MB chunks made the fold of A2 at
-#: level 25, C3 at level 7 and G2 at level 15 19-45% slower.
-FOLD_CHUNK_BYTES = 2 ** 18
+#: a row at a time, not in one 72 MB array).  A pass's temporaries are a
+#: small multiple of the budget, so at 256 KB they stay in a core's L2 cache:
+#: on a 2-core Xeon with 2 MB of L2 a core, 4 MB chunks made the fold of A2 at
+#: level 25, C3 at level 7 and G2 at level 15 19-45% slower, and the check of
+#: A3 at level 8, C3 at level 7 and A2 at level 25 was no faster in one slab.
+CHUNK_BYTES = 2 ** 18
 
 #: Float64 holds every integer below this exactly.
 EXACT_FLOAT_LIMIT = 2 ** 53
@@ -66,6 +72,12 @@ def check_size(n: int, what: str) -> None:
     if n > MAX_SIMPLES:
         raise TooLargeError(f"{what} has {n} simple objects, more than the limit "
                             f"of {MAX_SIMPLES}")
+
+
+def slab_width(n: int) -> int:
+    """How many (n, n) slices of an (n, n, n) int64 table fit in CHUNK_BYTES,
+    and at least 1."""
+    return max(1, CHUNK_BYTES // (8 * n * n))
 
 
 def is_int(x) -> bool:
@@ -100,6 +112,11 @@ def _of_four(row) -> bool:
         return len(row) == 4
     except TypeError:
         return False
+
+
+def _is_table(tensor, n: int) -> bool:
+    """Whether tensor is an int64 array of shape (n, n, n)."""
+    return isinstance(tensor, np.ndarray) and tensor.dtype == np.int64 and tensor.shape == (n,) * 3
 
 
 def _entry_array(entries, n: int) -> np.ndarray:
@@ -154,15 +171,16 @@ class FusionRing:
     {(a, b): {c: N^c_{ab}}} is flattened into rows, its integer 0 read as no
     entry), or an int64 table T[a, b, c] = N^c_{ab} of shape (n, n, n).  It is
     kept only as the read-only int64 ``table``, which no caller holds (a table
-    is copied, entries are written into a new one), so every query is
-    read-only and thread-safe.  Rings are equal when labels, unit, dual and
-    table are.  More than MAX_SIMPLES simples raise TooLargeError.  This is the
-    one check of each fusion entry (``_entry_array``): a refusal is a
-    ValueError naming the first zero N or repeated (a, b, c) in the order
-    given, else the first key or multiplicity that is not an integer (a bool
-    excluded) within int64 with its key in [0, n).  Any other array (bool and
-    float included) raises ValueError naming its dtype and shape.  Negative
-    multiplicities are kept, for axiom_violation to report.
+    is copied, entries are written into a new one; only a build hands over
+    its own table, see ``_adopt``), so every query is read-only and
+    thread-safe.  Rings are equal when labels, unit, dual and table are.  More
+    than MAX_SIMPLES simples raise TooLargeError.  This is the one check of
+    each fusion entry (``_entry_array``): a refusal is a ValueError naming the
+    first zero N or repeated (a, b, c) in the order given, else the first key
+    or multiplicity that is not an integer (a bool excluded) within int64 with
+    its key in [0, n).  Any other array (bool and float included) raises
+    ValueError naming its dtype and shape.  Negative multiplicities are kept,
+    for axiom_violation to report.
     """
 
     simples: tuple[str, ...]
@@ -173,7 +191,7 @@ class FusionRing:
     def __init__(self, simples, unit_index: int, dual, tensor):
         n = len(simples)
         check_size(n, "fusion ring")
-        if isinstance(tensor, np.ndarray) and tensor.dtype == np.int64 and tensor.shape == (n,) * 3:
+        if _is_table(tensor, n):
             table = tensor.copy()
         else:
             if isinstance(tensor, Mapping):
@@ -182,6 +200,26 @@ class FusionRing:
             quads = _entry_array(tensor, n)
             table = np.zeros((n,) * 3, dtype=np.int64)
             table[tuple(quads[:, :3].T)] = quads[:, 3]
+        self._freeze(simples, unit_index, dual, table)
+
+    @classmethod
+    def _adopt(cls, simples, unit_index: int, dual, table: np.ndarray) -> FusionRing:
+        """The ring of ``table``, an (n, n, n) int64 array that owns its memory,
+        kept without a copy and made read-only.  The caller gives the table up
+        and holds no view of it, so no writeable view survives: a view made
+        before would keep its own writeable flag, and it would hold a
+        reference to the table.  Only build_wzw_data calls this, with the
+        table of _orbit_fold, whose views end with the fold; the tests check
+        that nothing but the ring refers to a built ring's table."""
+        n = len(simples)
+        check_size(n, "fusion ring")
+        if not _is_table(table, n) or table.base is not None:
+            raise ValueError("only an (n, n, n) int64 array that owns its memory is adopted")
+        ring = cls.__new__(cls)
+        ring._freeze(simples, unit_index, dual, table)
+        return ring
+
+    def _freeze(self, simples, unit_index: int, dual, table: np.ndarray) -> None:
         table.setflags(write=False)
         object.__setattr__(self, "simples", tuple(simples))
         object.__setattr__(self, "unit_index", unit_index)
@@ -216,17 +254,22 @@ class FusionRing:
         g is invertible when the products g (x) X hold n simples in all and
         g (x) g* contains the unit once; its permutation then needs each
         g (x) X to be a single simple, else ValueError names the first such g.
-        One array pass for every g at once.
+        The candidates' rows are read from the table in slabs of slab_width(n)
+        at a time, in index order.
         """
         n = self.size
         t = self.table
         g = np.flatnonzero(t.sum(axis=(1, 2)) == n)
         g = g[t[g, np.take(self.dual, g), self.unit_index] == 1]
-        nonzero = t[g] != 0
-        bad = (nonzero.sum(axis=2) != 1).any(axis=1)
-        if bad.any():
-            raise ValueError(f"fusion by {self.simples[g[bad.argmax()]]} is not a permutation")
-        return MappingProxyType(dict(zip(g.tolist(), map(tuple, nonzero.argmax(axis=2).tolist()))))
+        perms, width = [], slab_width(n)
+        for start in range(0, len(g), width):
+            some = g[start:start + width]
+            nonzero = t[some] != 0
+            bad = (nonzero.sum(axis=2) != 1).any(axis=1)
+            if bad.any():
+                raise ValueError(f"fusion by {self.simples[some[bad.argmax()]]} is not a permutation")
+            perms += map(tuple, nonzero.argmax(axis=2).tolist())
+        return MappingProxyType(dict(zip(g.tolist(), perms)))
 
     def index(self, label: str) -> int:
         try:
@@ -239,15 +282,15 @@ def axiom_violation(ring: FusionRing) -> str | None:
     """First violated fusion-ring identity, or None when all axioms hold.
 
     Associativity, sum_e N^e_{ab} N^d_{ec} = sum_f N^f_{bc} N^d_{af}, is
-    checked one a at a time as two float64 matrix products of n^3 entries each,
-    so the check needs a few n^3 arrays (the ring has at most MAX_SIMPLES
-    simples).  Only the a of ``generating_set`` are compared: when they pass,
-    the left nucleus holds every product of them, so all of the ring.  Every
-    partial sum is an integer of at most n * max(N)^2, so the products are
-    exact when n * max(N)^2 < 2^53; a ring that breaks this bound raises
-    TooLargeError naming n, max(N) and the bound.  On a failure every a is
-    compared, and the message names the first (a, b, c, d) in lexicographic
-    order.
+    checked as float64 matrix products over slabs of the table, so the check
+    holds a few arrays of at most CHUNK_BYTES beside the int64 table (see
+    _associativity_failure).  Only the a of ``generating_set`` are compared:
+    when they pass, the left nucleus holds every product of them, so all of
+    the ring.  Every partial sum is an integer of at most n * max(N)^2, so the
+    products are exact when n * max(N)^2 < 2^53; a ring that breaks this bound
+    raises TooLargeError naming n, max(N) and the bound.  On a failure every a
+    is compared, and the message names the first (a, b, c, d) in
+    lexicographic order.
     """
     n = ring.size
     u = ring.unit_index
@@ -259,7 +302,7 @@ def axiom_violation(ring: FusionRing) -> str | None:
     for a in range(n):
         if ring.dual[ring.dual[a]] != a:
             return f"dual involution fails at a={a}"
-    if (t < 0).any():
+    if t.min() < 0:
         a, b, c = map(int, np.argwhere(t < 0)[0])
         return f"negative multiplicity N^{c}_{{{a},{b}}}"
     eye = np.eye(n, dtype=np.int64)
@@ -278,10 +321,9 @@ def axiom_violation(ring: FusionRing) -> str | None:
         raise TooLargeError(
             f"associativity check is exact only while n * max(N)^2 < 2^53 = "
             f"{EXACT_FLOAT_LIMIT}: n = {n}, max(N) = {top}, n * max(N)^2 = {n * top * top}")
-    f = t.astype(np.float64)
-    if _associativity_failure(f, generating_set(ring)) is None:
+    if _associativity_failure(t, generating_set(ring)) is None:
         return None
-    return _associativity_failure(f, range(n))  # names the first (a, b, c, d)
+    return _associativity_failure(t, range(n))  # names the first (a, b, c, d)
 
 
 def generating_set(ring: FusionRing) -> list[int]:
@@ -337,19 +379,37 @@ def generating_set(ring: FusionRing) -> list[int]:
     return gens
 
 
-def _associativity_failure(f: np.ndarray, simples) -> str | None:
+def _associativity_failure(t: np.ndarray, simples) -> str | None:
     """The first a in ``simples`` with (ab)c != a(bc) for some b, c, named with
-    the first such (b, c, d), from the float64 table f; None if there is none."""
-    n = len(f)
-    by_e, by_f = f.reshape(n, n * n), f.reshape(n * n, n)
-    for a in simples:
-        lhs = (f[a] @ by_e).reshape(n, n, n)  # [b, c, d] = sum_e N^e_{ab} N^d_{ec}
-        rhs = (by_f @ f[a]).reshape(n, n, n)  # [b, c, d] = sum_f N^f_{bc} N^d_{af}
-        if not np.array_equal(lhs, rhs):
-            b, c, d = map(int, np.argwhere(lhs != rhs)[0])
-            return (f"associativity fails at (a,b,c,d)=({a},{b},{c},{d}): "
-                    f"{int(lhs[b, c, d])} != {int(rhs[b, c, d])}")
-    return None
+    the least such (b, c, d), from the int64 table t; None if there is none.
+
+    The c are taken in blocks of slab_width(n) columns: each float64 slab
+    t[:, c0:c1, :] is converted once and serves every a, as the right factor
+    of lhs[b, c, d] = sum_e N^e_{ab} N^d_{ec} and the left one of
+    rhs[b, c, d] = sum_f N^f_{bc} N^d_{af}.  Once an a fails, the later
+    slabs compare only it and the a before it, and the least (b, c, d) of the
+    first failing a is kept over all slabs.
+    """
+    n = len(t)
+    simples = list(simples)
+    width = slab_width(n)
+    first = None  # (position of a in simples, b, c, d, lhs, rhs)
+    for c0 in range(0, n, width):
+        slab = t[:, c0:c0 + width].astype(np.float64)
+        by_e, by_f = slab.reshape(n, -1), slab.reshape(-1, n)
+        for i, a in enumerate(simples[:len(simples) if first is None else first[0] + 1]):
+            f = t[a].astype(np.float64)
+            lhs = (f @ by_e).reshape(slab.shape)
+            rhs = (by_f @ f).reshape(slab.shape)
+            if not np.array_equal(lhs, rhs):
+                b, c, d = map(int, np.argwhere(lhs != rhs)[0])
+                found = (i, b, c0 + c, d, int(lhs[b, c, d]), int(rhs[b, c, d]))
+                first = min(first or found, found)
+                break  # a later a of this slab is named after this one
+    if first is None:
+        return None
+    i, b, c, d, left, right = first
+    return f"associativity fails at (a,b,c,d)=({simples[i]},{b},{c},{d}): {left} != {right}"
 
 
 def verify_axioms(ring: FusionRing) -> bool:

@@ -15,7 +15,7 @@ data, built or loaded, and fills that table.
 one row of pairs per orbit of the simple currents, every row folded in one
 pass of chunked int64 arrays, each chunk written into an (n, n, n) table by
 the currents' column action as soon as it is folded, one scatter per current;
-the ring copies the table.
+the ring keeps that table, not a copy, so a build holds one n^3 array.
 The pair fold of ``lie.fusion_coefficients`` is its oracle in the tests.
 """
 
@@ -204,13 +204,8 @@ def build_wzw_data(spec: LieAlgebraSpec, k: int) -> ModularCategoryData:
     # an a with no partner keeps itself, and validate's duality law refuses it
     partner = table[:, :, unit] != 0
     dual = np.where(partner.any(axis=1), partner.argmax(axis=1), np.arange(len(weights))).tolist()
-    ring = FusionRing(
-        simples=tuple(lie.weight_label(w) for w in weights),
-        unit_index=unit,
-        dual=dual,
-        tensor=table,
-    )
-    del table  # the ring holds its own copy: one n^3 table, not two, while validate runs
+    ring = FusionRing._adopt(tuple(lie.weight_label(w) for w in weights), unit, dual, table)
+    del table  # the ring's now, read-only, and no view of it is left
 
     def twist_of(w):
         h = lie.conformal_weight(spec, k, w)
@@ -343,7 +338,7 @@ def _fold_rows(spec: LieAlgebraSpec, k: int, weights: list[Weight], index, pairs
 
 def _chunks(spec: LieAlgebraSpec, weights: list[Weight], pairs):
     """The pieces (b, a, nu, mult) of _fold_rows's points, in lists of at most
-    fusion.FOLD_CHUNK_BYTES of int64 points, r + 1 words each, and as many of
+    fusion.CHUNK_BYTES of int64 points, r + 1 words each, and as many of
     rows of the table, n words each: a holds some rows of b's pair, nu b's
     weight diagram in affine labels and mult its multiplicities.  A list is
     closed when the next row does not fit, so a pair's rows are split where a
@@ -351,7 +346,7 @@ def _chunks(spec: LieAlgebraSpec, weights: list[Weight], pairs):
     """
     n, r = len(weights), spec.rank
     comark = np.array(spec.comark, dtype=np.int64)
-    cap = fusion.FOLD_CHUNK_BYTES // 8  # int64 words of points, and of rows, a list holds
+    cap = fusion.CHUNK_BYTES // 8  # int64 words of points, and of rows, a list holds
     chunk, room, slots = [], cap, cap
     for b, rows in pairs:
         diagram = lie.weight_multiplicities(spec, weights[b])

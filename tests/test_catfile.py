@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -246,17 +247,21 @@ GOLDEN_SHA256 = {
 
 
 @pytest.mark.parametrize("family,rank,level", sorted(GOLDEN_SHA256))
-def test_built_file_matches_golden_hash(tmp_path, family, rank, level):
+def test_built_file_matches_golden_hash(tmp_path, monkeypatch, family, rank, level):
     # through the list payload and dumps_canonical, and through the file
-    # that save_category streams from the table
+    # that save_category streams from the table, in slabs of the default
+    # budget and of one row of a each
     data = modular.build_wzw_data(lie.lie_algebra(family, rank), level)
     source = {"family": family, "rank": rank, "level": level}
     text = catfile.dumps_canonical(catfile.category_to_payload(data, source))
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
             == GOLDEN_SHA256[family, rank, level])
     path = tmp_path / "cat.json"
-    catfile.save_category(path, data, source)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[family, rank, level]
+    for budget in (fusion.CHUNK_BYTES, 1):
+        monkeypatch.setattr(fusion, "CHUNK_BYTES", budget)
+        catfile.save_category(path, data, source)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == GOLDEN_SHA256[family, rank, level])
 
 
 @pytest.mark.parametrize("family,rank,level", sorted(GOLDEN_SHA256))
@@ -396,16 +401,34 @@ class TestWriter:
             patch.setattr(catfile, "_CHUNK", chunk)
             assert catfile.dumps_canonical(payload) == json_dumps({**payload, "fusion": quads})
 
-    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 3, 100])
     def test_chunk_boundaries_leave_the_file_unchanged(self, tmp_path, monkeypatch,
                                                        sl4_level2, chunk):
+        # at 1 byte the table is read one row of a at a time, 10 slabs of 10
+        # to 18 quads, so chunks of 3 and 100 quads span slabs
         source = {"family": "A", "rank": 3, "level": 2}
         monkeypatch.setattr(catfile, "_CHUNK", chunk)
         path = tmp_path / "A3-2.json"
-        catfile.save_category(path, sl4_level2, source)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["A", 3, 2]
-        assert path.read_text(encoding="utf-8") == catfile.dumps_canonical(
-            catfile.category_to_payload(sl4_level2, source))
+        for budget in (fusion.CHUNK_BYTES, 1):
+            monkeypatch.setattr(fusion, "CHUNK_BYTES", budget)
+            catfile.save_category(path, sl4_level2, source)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["A", 3, 2]
+            assert path.read_text(encoding="utf-8") == catfile.dumps_canonical(
+                catfile.category_to_payload(sl4_level2, source))
+
+    def test_save_holds_no_array_of_every_quad(self, tmp_path):
+        # A3 k=8, 356,263 quads: 25.7 MB traced at the parent, which made
+        # the whole quad array first; 1.8 MB from slabs of one row of a
+        data = modular.build_wzw_data(lie.lie_algebra("A", 3), 8)
+        path = tmp_path / "A3-8.json"
+        tracemalloc.start()
+        try:
+            catfile.save_category(path, data, catfile.wzw_source("A", 3, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["A", 3, 8]
 
     @pytest.mark.parametrize("quads,shown", [
         (np.zeros((2, 4), np.int32), "int32 of shape (2, 4)"),
@@ -440,9 +463,9 @@ class TestWriter:
             error = TypeError
         else:
             table_payload = catfile._table_payload
+            quads = np.array(catfile.category_to_payload(sl4_level2, source)["fusion"], np.int32)
             monkeypatch.setattr(catfile, "_table_payload", lambda data, source: {
-                **table_payload(data, source),
-                "fusion": table_payload(data, source)["fusion"].astype(np.int32)})
+                **table_payload(data, source), "fusion": quads})
             error = ValueError
         with pytest.raises(error):
             catfile.save_category(path, sl4_level2, source)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 from math import gcd
 
@@ -258,16 +259,89 @@ class TestAssociativityOracle:
             "n * max(N)^2 = 9007199254740992")
 
     def test_memory_is_a_few_n_cubed_arrays(self):
-        # the einsum held two n^4 int64 operands, 303.6 MB at n = 66
-        ring = built_ring("A", 2, 10)
-        assert ring.size == 66
-        tracemalloc.start()
-        try:
+        # the einsum held two n^4 int64 operands, 303.6 MB at n = 66; the
+        # float copy and whole products then held 7.2 MB at n = 66 and
+        # 144.0 MB at n = 165, and the slabs of one column 1.0 and 1.3 MB
+        # (numpy 2.4)
+        for family, rank, level, size in [("A", 2, 10, 66), ("A", 3, 8, 165)]:
+            ring = built_ring(family, rank, level)
+            assert ring.size == size
+            assert traced_peak(lambda: fusion.axiom_violation(ring)) < 4e6
             assert fusion.axiom_violation(ring) is None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+
+
+def traced_peak(f):
+    """The peak of the memory traced while f() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def slab_budgets(n):
+    """CHUNK_BYTES values giving slabs of one column (1 byte), of two columns
+    and of the whole table (unbounded), with the slab width of each."""
+    return [(1, 1), (16 * n * n, 2), (2 ** 62, n)]
+
+
+def mutated(ring, rng):
+    """ring with one or two entries away from the unit moved by 1, so that
+    the unit and duality laws still hold and associativity decides."""
+    others = [x for x in range(ring.size) if x != ring.unit_index]
+    table = ring.table.copy()
+    for _ in range(rng.integers(1, 3)):
+        a, b, c = rng.choice(others, size=3)
+        table[a, b, c] += 1 if table[a, b, c] == 0 or rng.random() < 0.5 else -1
+    return ring_with_table(ring, table)
+
+
+def associativity_faults(ring, a):
+    """Every (b, c, d) with (ab)c != a(bc) at a, in lexicographic order, by
+    the full loop's products."""
+    n, f = ring.size, ring.table.astype(np.float64)
+    lhs = (f[a] @ f.reshape(n, n * n)).reshape(n, n, n)
+    rhs = (f.reshape(n * n, n) @ f[a]).reshape(n, n, n)
+    return [tuple(x) for x in np.argwhere(lhs != rhs).tolist()]
+
+
+class TestSlabs:
+    """The associativity check names the same fault at every slab width."""
+
+    @pytest.mark.parametrize("family,rank,level,seed,trials",
+                             [("A", 3, 2, 7, 20), ("A", 2, 10, 8, 2)])
+    def test_axiom_violation_at_every_budget(self, monkeypatch, family, rank, level,
+                                             seed, trials):
+        ring = built_ring(family, rank, level)
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            bad = mutated(ring, rng)
+            expected = einsum_violation(bad)
+            assert expected is not None and expected == full_loop_violation(bad)
+            for budget, width in slab_budgets(ring.size):
+                monkeypatch.setattr(fusion, "CHUNK_BYTES", budget)
+                assert min(fusion.slab_width(ring.size), ring.size) == width
+                assert fusion.axiom_violation(bad) == expected
+
+    def test_faults_across_slabs(self, monkeypatch, sl4_level2):
+        # at one column a slab, rings whose first failing a fails first, in
+        # slab order, at a larger (b, c, d) than its least, and rings where a
+        # later a fails in an earlier slab than the first failing a does
+        ring = sl4_level2.ring
+        rng = np.random.default_rng(9)
+        monkeypatch.setattr(fusion, "CHUNK_BYTES", 1)
+        later_least = later_a_first = 0
+        for _ in range(60):
+            bad = mutated(ring, rng)
+            failing = [(a, associativity_faults(bad, a)) for a in range(bad.size)]
+            failing = [(a, faults) for a, faults in failing if faults]
+            (_, faults), rest = failing[0], failing[1:]
+            least_c = min(c for _, c, _ in faults)
+            later_least += faults[0][1] > least_c
+            later_a_first += any(min(c for _, c, _ in f) < least_c for _, f in rest)
+            assert fusion.axiom_violation(bad) == einsum_violation(bad)
+        assert later_least >= 3 and later_a_first >= 3
 
 
 def relabelled(ring, perm):
@@ -669,6 +743,34 @@ class TestTableInput:
         with pytest.raises(ValueError):
             ring.table[1, 1, 0] = 5
 
+    def test_build_hands_its_table_to_the_ring(self, monkeypatch):
+        # the fold's table is kept, not copied, and nothing but the ring
+        # refers to it, as nothing refers to the copy the constructor makes:
+        # a view that survived would hold a reference to it
+        folded, fold = [], modular._orbit_fold
+        monkeypatch.setattr(modular, "_orbit_fold", lambda *args: folded.append(fold(*args))
+                            or folded[-1])
+        ring = built_ring("A", 2, 10)
+        table = folded.pop()[0]
+        assert ring.table is table
+        del table
+        copied = FusionRing(ring.simples, ring.unit_index, ring.dual, ring.table)
+        assert sys.getrefcount(ring.table) == sys.getrefcount(copied.table)
+        assert ring.table.base is None and ring.table.flags.owndata
+        with pytest.raises(ValueError):
+            ring.table[0, 0, 0] = 2
+
+    def test_adopt_takes_only_a_table_that_owns_its_memory(self):
+        table = self.z2_table()
+        for other in (table[:], table.astype(np.int32), np.zeros((3, 3, 3), dtype=np.int64)):
+            with pytest.raises(ValueError) as exc:
+                FusionRing._adopt(("0", "g"), 0, (0, 1), other)
+            assert str(exc.value) == (
+                "only an (n, n, n) int64 array that owns its memory is adopted")
+        ring = FusionRing._adopt(("0", "g"), 0, (0, 1), table)
+        assert ring.table is table and not table.flags.writeable
+        assert ring == FusionRing(("0", "g"), 0, (0, 1), self.z2_table())
+
     def test_too_many_simples_refused_before_the_table_is_read(self):
         labels = tuple(str(i) for i in range(fusion.MAX_SIMPLES + 1))
         with pytest.raises(TooLargeError):
@@ -885,9 +987,15 @@ def outcome(f, *args):
 
 
 class TestInvertiblePermutations:
-    def test_equal_the_loop_on_built_rings(self, example_categories):
-        for data in example_categories.values():
-            assert dict(data.ring.invertible_permutations) == permutations_by_loop(data.ring)
+    def test_equal_the_loop_on_built_rings(self, monkeypatch, example_categories):
+        # in slabs of the default budget, and of one candidate each
+        rings = [data.ring for data in example_categories.values()]
+        rings += [pointed_ring(2, 2, 2), pointed_ring(12)]
+        for budget in (fusion.CHUNK_BYTES, 1):
+            monkeypatch.setattr(fusion, "CHUNK_BYTES", budget)
+            for ring in rings:
+                fresh = FusionRing(ring.simples, ring.unit_index, ring.dual, ring.table)
+                assert dict(fresh.invertible_permutations) == permutations_by_loop(ring)
 
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, -1]),
@@ -897,29 +1005,44 @@ class TestInvertiblePermutations:
         n, values, dual = case
         table = np.array(values, dtype=np.int64).reshape(n, n, n)
         table[0] = np.eye(n, dtype=np.int64)  # an invertible unit, as often as not
-        ring = FusionRing(tuple(map(str, range(n))), 0, dual, table)
-        assert (outcome(lambda: dict(ring.invertible_permutations))
-                == outcome(permutations_by_loop, ring))
+        for budget in (fusion.CHUNK_BYTES, 1):  # 1 byte: one candidate a slab
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fusion, "CHUNK_BYTES", budget)
+                ring = FusionRing(tuple(map(str, range(n))), 0, dual, table)
+                assert (outcome(lambda: dict(ring.invertible_permutations))
+                        == outcome(permutations_by_loop, ring))
 
-    def test_fusion_that_is_no_permutation_names_the_first_object(self):
+    def test_rows_read_in_slabs(self):
+        # a fresh SU(120)_1 ring, every simple invertible: the gather of every
+        # candidate's rows traced 15.6 MB at once, over the 13.8 MB table;
+        # slabs of one row 0.4 MB (numpy 2.4)
+        ring = pointed_ring(120)
+        fresh = FusionRing(ring.simples, ring.unit_index, ring.dual, ring.table)
+        assert traced_peak(lambda: fresh.invertible_permutations) < 2e6
+        assert len(fresh.invertible_permutations) == 120
+
+    def test_fusion_that_is_no_permutation_names_the_first_object(self, monkeypatch):
         # g and x each fuse to n = 3 simples and contain the unit once with
-        # their duals, but g (x) g = 0 + x and g (x) x = 0
-        tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
-                  (1, 0): {1: 1}, (1, 1): {0: 1, 2: 1},
-                  (2, 0): {2: 1}, (2, 2): {0: 1, 1: 1}}
-        ring = FusionRing(("0", "g", "x"), 0, (0, 1, 2), tensor)
-        with pytest.raises(ValueError) as exc:
-            ring.invertible_permutations
-        assert str(exc.value) == "fusion by g is not a permutation"
-        del tensor[1, 1][2]
-        tensor[1, 2] = {2: 1}  # now g (x) X is one simple for every X
-        for x_times_x, x_times_unit in [({0: 1, 1: 1}, {2: 1}), ({0: 1}, {2: 2})]:
-            # x (x) g = 0 and x (x) x is two simples, or x (x) 0 = 2x
-            tensor[2, 2], tensor[2, 0] = x_times_x, x_times_unit
+        # their duals, but g (x) g = 0 + x and g (x) x = 0; at 1 byte each
+        # candidate is a slab of its own, after the unit's, which passes
+        for budget in (fusion.CHUNK_BYTES, 1):
+            monkeypatch.setattr(fusion, "CHUNK_BYTES", budget)
+            tensor = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                      (1, 0): {1: 1}, (1, 1): {0: 1, 2: 1},
+                      (2, 0): {2: 1}, (2, 2): {0: 1, 1: 1}}
             ring = FusionRing(("0", "g", "x"), 0, (0, 1, 2), tensor)
             with pytest.raises(ValueError) as exc:
                 ring.invertible_permutations
-            assert str(exc.value) == "fusion by x is not a permutation"
+            assert str(exc.value) == "fusion by g is not a permutation"
+            del tensor[1, 1][2]
+            tensor[1, 2] = {2: 1}  # now g (x) X is one simple for every X
+            for x_times_x, x_times_unit in [({0: 1, 1: 1}, {2: 1}), ({0: 1}, {2: 2})]:
+                # x (x) g = 0 and x (x) x is two simples, or x (x) 0 = 2x
+                tensor[2, 2], tensor[2, 0] = x_times_x, x_times_unit
+                ring = FusionRing(("0", "g", "x"), 0, (0, 1, 2), tensor)
+                with pytest.raises(ValueError) as exc:
+                    ring.invertible_permutations
+                assert str(exc.value) == "fusion by x is not a permutation"
 
 
 class TestReadOnly:

@@ -665,8 +665,8 @@ class TestOrbitFold:
         monkeypatch.setattr(lie, "weight_multiplicities",
                             lambda spec, lam: {(0,): 1} if lam == (0,) else {(-3,): 1})
         index = modular._alcove_index(spec, 2)
-        for budget, chunks in [(1, 2), (fusion.FOLD_CHUNK_BYTES, 1)]:
-            monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", budget)
+        for budget, chunks in [(1, 2), (fusion.CHUNK_BYTES, 1)]:
+            monkeypatch.setattr(fusion, "CHUNK_BYTES", budget)
             folded = list(modular._fold_rows(spec, 2, weights, index, [(0, [0, 2])]))
             assert len(folded) == chunks
             a, b, prod = (np.concatenate(part).tolist() for part in zip(*folded))
@@ -681,8 +681,8 @@ class TestOrbitFold:
     def test_chunked_fold_equals_the_unchunked(self, monkeypatch, family, rank, level):
         spec = lie.lie_algebra(family, rank)
         weights = lie.alcove_weights(spec, level)
-        n, default = len(weights), fusion.FOLD_CHUNK_BYTES
-        monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", 2 ** 40)
+        n, default = len(weights), fusion.CHUNK_BYTES
+        monkeypatch.setattr(fusion, "CHUNK_BYTES", 2 ** 40)
         calls = recorded_folds(monkeypatch)
         whole, group = orbit_fold(spec, level)
         pairs = [(b, np.array(rows)) for b, rows in calls[-1]]
@@ -692,7 +692,7 @@ class TestOrbitFold:
         # (C3 k=3 at 2^11: 64 points) a row wider than the budget is a chunk
         # of its own; then the default budget
         for budget in (1, 2 ** 11, 2 ** 12, default):
-            monkeypatch.setattr(fusion, "FOLD_CHUNK_BYTES", budget)
+            monkeypatch.setattr(fusion, "CHUNK_BYTES", budget)
             chunks = list(modular._chunks(spec, weights, pairs))
             # every row of every pair, once and in order
             assert [(b, a) for chunk in chunks for b, rows, _, _ in chunk for a in rows] == [
